@@ -163,9 +163,9 @@ fn decode_batch(
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
     let next = AtomicUsize::new(0);
-    let _ = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 if index >= batch.len() {
                     break;

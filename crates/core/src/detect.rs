@@ -180,12 +180,11 @@ impl<'a> LeakDetector<'a> {
         let fragments: parking_lot::Mutex<Vec<(usize, DetectionReport)>> =
             parking_lot::Mutex::new(Vec::with_capacity(crawls.len()));
         let next = std::sync::atomic::AtomicUsize::new(0);
-        // Every per-site panic is caught inside the worker loop, so the
-        // scope result carries no information; sites a lost worker never
-        // delivered surface through the gap-fill below instead.
-        let _ = crossbeam::thread::scope(|scope| {
+        // Every per-site panic is caught inside the worker loop; a site no
+        // worker delivered surfaces through the gap-fill below instead.
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if index >= crawls.len() {
                         break;

@@ -16,9 +16,9 @@
 //! 6. reload the site logged-in,
 //! 7. click through to a product subpage.
 //!
-//! [`Crawler::run`] fans sites out over worker threads (crossbeam scoped
-//! threads + a parking_lot-protected sink); everything is deterministic
-//! because the browser engine is.
+//! [`Crawler::run`] fans sites out over scoped worker threads that deliver
+//! into a parking_lot-protected sink; everything is deterministic because
+//! the browser engine is.
 //!
 //! Under a non-inert [`pii_net::fault::FaultPlan`] the crawler switches from
 //! the config-driven happy path to a *measured* crawl: every page load is
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod capture;
-mod evented;
 pub mod flow;
 pub mod har;
 mod pool;
@@ -37,5 +36,5 @@ pub mod retry;
 mod steps;
 
 pub use capture::{CrawlDataset, CrawlOutcome, FunnelStats, SiteCrawl, SiteResilience};
-pub use flow::{CrawlSink, CrawlSummary, Crawler, Engine};
+pub use flow::{CrawlSink, CrawlSummary, Crawler};
 pub use retry::{RetryPolicy, SimClock};

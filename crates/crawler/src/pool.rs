@@ -1,8 +1,7 @@
-//! Bookkeeping shared by both crawl engines.
+//! Accountability bookkeeping for the crawl's worker pool.
 //!
-//! The threaded pool and the evented executor schedule work very
-//! differently, but the *accountability* rules are engine-independent and
-//! live here so they cannot drift:
+//! Workers claim sites in whatever order the OS schedules them, but the
+//! *accountability* rules are scheduling-independent:
 //!
 //! - every site is delivered exactly once ([`DeliveryBoard`]), with a
 //!   quarantined placeholder gap-filled in index order for any site nobody
@@ -32,7 +31,7 @@ impl DeliveryBoard {
     }
 
     /// Call `fill` for every undelivered index, in index order. Runs after
-    /// the engine drains, so no site is silently dropped.
+    /// the pool drains, so no site is silently dropped.
     pub(crate) fn fill_gaps(self, mut fill: impl FnMut(usize)) {
         for (index, seen) in self.delivered.into_inner().into_iter().enumerate() {
             if !seen {
@@ -43,8 +42,8 @@ impl DeliveryBoard {
 }
 
 /// Panic-retry policy: one retry per site, then quarantine. The ledger
-/// records which sites already burned their retry; both engines consult it
-/// through [`PanicLedger::first_panic`] so the semantics stay identical.
+/// records which sites already burned their retry; workers consult it
+/// through [`PanicLedger::first_panic`].
 pub(crate) struct PanicLedger {
     retried: Mutex<Vec<bool>>,
 }

@@ -189,14 +189,19 @@ fn decode_chunked(data: &[u8]) -> Result<Vec<u8>, WireError> {
         if size == 0 {
             return Ok(out);
         }
-        if data.len() < pos + size + 2 {
+        // `size` is attacker-chosen: checked, so a huge one is a truncated
+        // body rather than an overflow.
+        let Some(chunk_end) = pos
+            .checked_add(size)
+            .filter(|end| end.saturating_add(2) <= data.len())
+        else {
             return Err(WireError::TruncatedBody {
                 expected: size,
                 got: data.len().saturating_sub(pos),
             });
-        }
-        out.extend_from_slice(&data[pos..pos + size]);
-        pos += size + 2; // skip chunk + CRLF
+        };
+        out.extend_from_slice(&data[pos..chunk_end]);
+        pos = chunk_end + 2; // skip chunk + CRLF
     }
 }
 
@@ -380,6 +385,20 @@ mod tests {
         let bad_size =
             b"POST /x HTTP/1.1\r\nHost: a.net\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n";
         assert!(parse_request(bad_size, "https").is_err());
+    }
+
+    #[test]
+    fn huge_chunk_size_is_a_truncated_body_not_an_overflow() {
+        let huge = b"POST /x HTTP/1.1\r\nHost: a.net\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse_request(huge, "https"),
+            Err(WireError::TruncatedBody { .. })
+        ));
+        let response = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse_response(response),
+            Err(WireError::TruncatedBody { .. })
+        ));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! any field order plus the unpacked body form. The unit tests pin this
 //! equivalence on every variant of every type in the graph; `tests/store.rs`
 //! proptests it on whole datasets. A payload the decoder does not
-//! recognise (e.g. written by a future field the fallback knows about) is
-//! an `Err`, and [`crate::format::decode_site`] falls back to the generic
-//! route — the fast path is an optimisation, never a compatibility wall.
+//! recognise (e.g. one carrying an unknown field) is an `Err`, which
+//! [`crate::format::decode_site`] reports as a corrupt record body; the
+//! generic route stays as the tests' reference and for meta records.
 
 use crate::vbin::{
     unzigzag, write_str, write_uvar, Reader, VbinError, TAG_ARR, TAG_BYTES, TAG_FALSE, TAG_I64,
@@ -997,9 +997,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_fields_fall_back_instead_of_misdecoding() {
-        // A future writer might add a field; the fast decoder must refuse
-        // (triggering the generic fallback), not silently drop data.
+    fn unknown_fields_are_rejected_instead_of_misdecoded() {
+        // A site segment carrying a field this format version does not
+        // know is corrupt: the decoder must refuse it, not silently drop
+        // data, and the segment decode reports it as a bad record body.
         let crawl = exhaustive_crawl();
         let tree = serde::value::to_value(&crawl).unwrap();
         let serde::Value::Obj(mut entries) = tree else {
@@ -1009,10 +1010,11 @@ mod tests {
         let mut bytes = Vec::new();
         crate::vbin::encode_value(&serde::Value::Obj(entries), &mut bytes);
         assert!(decode_site_crawl(&bytes).is_err());
-        // …and the generic route accepts it (unknown fields ignored).
-        let back: Result<SiteCrawl, _> =
-            serde::value::from_value(crate::vbin::decode_value(&bytes).unwrap());
-        assert!(back.is_ok());
+        let payload = pii_encodings::deflate::compress(&bytes);
+        assert_eq!(
+            crate::format::decode_site(&payload).unwrap_err(),
+            crate::format::FrameError::Corrupt("record body")
+        );
     }
 
     #[test]

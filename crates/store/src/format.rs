@@ -170,16 +170,13 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
     }
 }
 
-/// [`decode_record`] for site segments: the direct decoder first, the
-/// generic value-tree route when the payload's shape is unfamiliar.
+/// [`decode_record`] for site segments, via the direct decoder only. The
+/// archive format is versioned, so a payload it does not recognise is
+/// corrupt, not a newer shape to be decoded generically.
 pub fn decode_site(payload: &[u8]) -> Result<pii_crawler::SiteCrawl, FrameError> {
     let raw = pii_encodings::deflate::decompress(payload)
         .map_err(|_| FrameError::Corrupt("deflate stream"))?;
-    if let Ok(crawl) = crate::fast::decode_site_crawl(&raw) {
-        return Ok(crawl);
-    }
-    let tree = crate::vbin::decode_value(&raw).map_err(|_| FrameError::Corrupt("record body"))?;
-    serde::value::from_value(tree).map_err(|_| FrameError::Corrupt("record shape"))
+    crate::fast::decode_site_crawl(&raw).map_err(|_| FrameError::Corrupt("record body"))
 }
 
 /// Serialize one segment (header + payload) into `out`.

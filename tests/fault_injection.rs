@@ -81,6 +81,19 @@ fn fault_injected_crawl_is_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn watchdogged_hostile_crawl_is_deterministic_across_worker_counts() {
+    let u = universe();
+    let run = |workers: usize| {
+        let mut crawler = Crawler::new(u);
+        crawler.workers = workers;
+        crawler.faults = u.fault_plan(FaultProfile::Hostile);
+        crawler.watchdog_ms = Some(40_000);
+        dataset_json(&crawler.run(BrowserKind::Firefox88Vanilla))
+    };
+    assert_eq!(run(1), run(8));
+}
+
+#[test]
 fn hostile_profile_degrades_without_panicking_and_stays_deterministic() {
     let u = universe();
     let run = || {
@@ -123,13 +136,43 @@ fn panicking_site_is_quarantined_while_the_rest_complete() {
     let crawl = dataset.site(&victim).expect("victim still has an entry");
     match &crawl.outcome {
         CrawlOutcome::Quarantined(reason) => {
+            // Retried once on another worker, then quarantined.
             assert!(
-                reason.contains("panic"),
+                reason.contains("panicked twice"),
                 "reason records the cause: {reason}"
             )
         }
         other => panic!("victim should be quarantined, got {other:?}"),
     }
+}
+
+#[test]
+fn panicking_site_is_retried_once_then_quarantined_across_worker_counts() {
+    let u = universe();
+    let victim = u
+        .sender_sites()
+        .nth(5)
+        .map(|s| s.domain.clone())
+        .expect("universe has senders");
+    let mut plan = u.fault_plan(FaultProfile::PaperMay2021);
+    plan.set(&victim, DomainSchedule::Panic);
+    let run = |workers: usize| {
+        let mut crawler = Crawler::new(u);
+        crawler.workers = workers;
+        crawler.faults = plan.clone();
+        crawler.run(BrowserKind::Firefox88Vanilla)
+    };
+    let single = run(1);
+    let pooled = run(4);
+    assert_eq!(dataset_json(&single), dataset_json(&pooled));
+    let crawl = pooled.site(&victim).expect("victim still has an entry");
+    match &crawl.outcome {
+        CrawlOutcome::Quarantined(reason) => {
+            assert!(reason.contains("panicked twice"), "{reason}")
+        }
+        other => panic!("victim should be quarantined, got {other:?}"),
+    }
+    assert_eq!(pooled.funnel().quarantined, 1);
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! counter, and every downstream table is byte-identical regardless of the
 //! worker count.
 
+use pii_suite::net::cache::CacheStrategy;
 use pii_suite::prelude::*;
 use std::sync::OnceLock;
 
@@ -75,4 +76,36 @@ fn study_is_deterministic_across_invocations() {
     assert_eq!(a.report.events, b.report.events);
     assert_eq!(a.report.total_requests, b.report.total_requests);
     assert_eq!(a.render_all(), b.render_all());
+}
+
+#[test]
+fn warm_cache_revisits_are_deterministic_across_worker_counts() {
+    let (universe, ..) = fixture();
+    let targets: Vec<String> = universe
+        .sender_sites()
+        .take(6)
+        .map(|s| s.domain.clone())
+        .collect();
+    let crawl = |workers: usize, repeat: u32| {
+        let mut crawler = Crawler::new(universe);
+        crawler.workers = workers;
+        crawler.cache = Some(CacheStrategy::CacheFirst);
+        crawler.repeat = repeat;
+        crawler.run_on(BrowserKind::Firefox88Vanilla, Some(&targets))
+    };
+    let json = |ds: &CrawlDataset| serde_json::to_string(ds).expect("dataset serializes");
+    let serial = crawl(1, 2);
+    assert_eq!(json(&serial), json(&crawl(4, 2)));
+    // The second visit really happened against a warm cache: some requests
+    // were answered locally (suppressed) instead of going on the wire.
+    let suppressed = serial
+        .crawls
+        .iter()
+        .flat_map(|c| &c.records)
+        .filter(|r| r.from_cache.is_some_and(|d| d.suppressed()))
+        .count();
+    assert!(suppressed > 0, "warm revisits should serve from cache");
+    // And a single-visit run has strictly less traffic.
+    let count = |ds: &CrawlDataset| ds.crawls.iter().map(|c| c.records.len()).sum::<usize>();
+    assert!(count(&serial) > count(&crawl(4, 1)));
 }
