@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-kernels perfbench-build
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels perfbench-build lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -65,11 +65,6 @@ chaos-smoke:
 	cargo run --release -q -- store repair target/chaos-corrupt.store > /dev/null
 	cargo run --release -q -- store verify target/chaos-corrupt.store > /dev/null
 
-# Scale trajectory for the streaming pipeline: crawl + replay at 1x/10x/100x
-# universe scale, refreshing BENCH_streaming.json at the workspace root.
-bench-trajectory:
-	cargo bench -p pii-bench --bench streaming
-
 # Hot-path kernel smoke: a reduced-corpus run of the slice-at-a-time kernel
 # bench (which asserts kernel == scalar on every measured pass), validated by
 # the vendored-serde_json reader. The checked-in full-size artifact is
@@ -79,6 +74,16 @@ bench-kernels:
 	cargo bench -p pii-bench --bench kernels -- --smoke --out $(CURDIR)/target/BENCH_kernels.json
 	cargo run --release -q --example validate_bench_json target/BENCH_kernels.json --min-crc-speedup 1.2
 	cargo run --release -q --example validate_bench_json BENCH_kernels.json --min-crc-speedup 2.0
+
+# API drift guard: perfbench is a workspace of its own that builds against
+# these crates by path, so a change to an API it calls only shows up when it
+# is built. The build rewrites perfbench/Cargo.lock (cargo prunes its stale
+# entries); the committed file is restored byte for byte, pass or fail.
+perfbench-build:
+	mkdir -p target
+	cp perfbench/Cargo.lock target/perfbench-Cargo.lock
+	cargo build --release --offline --manifest-path perfbench/Cargo.toml; \
+		status=$$?; cp target/perfbench-Cargo.lock perfbench/Cargo.lock; exit $$status
 
 # Workspace invariant gate: pii-lint must report zero unsuppressed findings
 # (exit 1 otherwise), and its hand-rolled JSON mode must satisfy the

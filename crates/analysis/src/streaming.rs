@@ -1,27 +1,28 @@
-//! Constant-memory batch replay: archive → detection without ever holding a
-//! [`pii_crawler::CrawlDataset`].
+//! The capture fold: every study runs its capture through here exactly
+//! once, whether the capture is a live crawl held in memory or a `.store`
+//! archive replayed segment by segment.
 //!
-//! The materialized replay path decodes every segment into one dataset and
-//! hands it to `detect_parallel`; peak memory is the whole capture. This
-//! module replays the archive's footer index in fixed-size batches instead:
-//! each batch's segments are decoded and detected in parallel (one worker
-//! pool pass, per-site `catch_unwind` exactly like `detect_parallel`), then
-//! folded **sequentially in canonical site order** into the running funnel,
-//! degradation, and detection accumulators — and dropped. Because
-//! `detect_site` is a pure function of one crawl and fragments merge in
-//! canonical order, the folded report is byte-identical to the materialized
-//! path for any worker count; `tests/streaming.rs` pins this across worker
-//! counts and fault profiles.
+//! The fold walks the capture in canonical site order, in fixed-size
+//! batches. Each batch's sites are detected in parallel (archive segments
+//! are also decoded in parallel), with every site isolated by
+//! [`LeakDetector::detect_site_isolated`]. The batch is then folded
+//! **sequentially in canonical site order** into the running funnel,
+//! degradation and detection accumulators, and each crawl is handed by
+//! value to the caller's sink. Because `detect_site` is a pure function of
+//! one crawl and fragments merge in canonical order, the folded report is
+//! byte-identical to [`LeakDetector::detect`] for any worker count and
+//! either source; `tests/parallel.rs` and `tests/streaming.rs` pin this.
 //!
-//! Peak residency is bounded by one batch of segments, tracked as the
-//! deterministic `study.stream.peak_resident_bytes` gauge (max over batches
-//! of the batch's summed segment bytes) — a pure function of the archive,
-//! so it can be asserted flat across universe scales.
+//! Over an archive, peak residency is bounded by one batch of segments
+//! when the sink drops its crawls. It is tracked as the deterministic
+//! `study.stream.peak_resident_bytes` gauge (max over batches of the
+//! batch's summed segment bytes) — a pure function of the archive, so it
+//! can be asserted flat across universe scales.
 
 use crate::degradation::DegradationBuilder;
 use pii_core::detect::{DetectionReport, LeakDetector};
-use pii_crawler::FunnelStats;
-use pii_store::reader::{ArchiveReader, ReplayReport, SkippedSegment};
+use pii_crawler::{FunnelStats, SiteCrawl};
+use pii_store::reader::{ArchiveReader, ReplayReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sites decoded + detected per batch. Large enough to keep a worker pool
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// below a materialized dataset.
 pub const STREAM_BATCH: usize = 64;
 
-/// What one streaming replay measured about itself.
+/// What one archive replay measured about itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Indexed site segments replayed (verified + skipped).
@@ -42,123 +43,115 @@ pub struct StreamStats {
     pub peak_resident_bytes: u64,
 }
 
-/// Everything a streaming replay folds out of the archive.
-pub struct StreamReplay {
+/// Where the fold's crawls come from.
+pub enum Capture<'a> {
+    /// Crawls already in memory, in canonical site order (a live crawl).
+    Memory(Vec<SiteCrawl>),
+    /// A capture archive, read segment by segment through its index.
+    Archive(&'a ArchiveReader),
+}
+
+/// Everything the fold accumulates from one capture.
+pub struct CaptureFold {
     pub funnel: FunnelStats,
     pub degradation: DegradationBuilder,
     pub report: DetectionReport,
-    pub replay: ReplayReport,
-    pub stats: StreamStats,
+    /// Archive health and replay stats; `None` for an in-memory capture.
+    pub archive: Option<(ReplayReport, StreamStats)>,
 }
 
-/// Replay `reader`'s indexed segments batch by batch through `detector`.
-///
-/// Per batch: parallel decode + per-site detection (each site's fragment is
-/// computed under `catch_unwind`, degrading to skipped records like
-/// `detect_parallel`), then a sequential canonical-order fold. Damaged
-/// segments become the same `Quarantined` placeholder rows and
-/// [`SkippedSegment`] notes as [`ArchiveReader::read_dataset`], so the
-/// degradation accounting cannot drift between the two paths.
-pub fn replay(reader: &ArchiveReader, detector: &LeakDetector, workers: usize) -> StreamReplay {
-    let _span = pii_telemetry::span("study.stream");
-    let entries = reader.entries();
-    let mut funnel = FunnelStats::default();
-    let mut degradation = DegradationBuilder::default();
-    let mut report = DetectionReport::default();
-    let mut replay_report = ReplayReport {
-        segments_total: entries.len(),
-        used_footer: reader.used_footer(),
-        skipped: reader.scan_damage().to_vec(),
-        ..ReplayReport::default()
+/// Fold `capture` through `detector` batch by batch, handing every crawl to
+/// `sink` in canonical site order. Damaged archive segments reach the sink
+/// as the `Quarantined` placeholders of [`ArchiveReader::settle`], so a
+/// collecting sink rebuilds exactly [`ArchiveReader::read_dataset`]'s rows.
+pub fn fold(
+    capture: Capture<'_>,
+    detector: &LeakDetector,
+    workers: usize,
+    sink: &mut dyn FnMut(SiteCrawl),
+) -> CaptureFold {
+    let mut fold = CaptureFold {
+        funnel: FunnelStats::default(),
+        degradation: DegradationBuilder::default(),
+        report: DetectionReport::default(),
+        archive: None,
     };
-    let mut stats = StreamStats {
-        sites: entries.len(),
-        batches: 0,
-        peak_resident_bytes: 0,
+    let mut push = |crawl: SiteCrawl, fragment: DetectionReport| {
+        fold.funnel.observe(&crawl.outcome);
+        fold.degradation.observe(&crawl);
+        fold.report.merge(fragment);
+        sink(crawl);
     };
-    for batch in entries.chunks(STREAM_BATCH) {
-        stats.batches += 1;
-        let resident: u64 = batch.iter().map(|e| u64::from(e.segment_len)).sum();
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-        for (entry, slot) in batch
-            .iter()
-            .zip(decode_batch(reader, detector, workers, batch))
-        {
-            match slot {
-                Ok((crawl, fragment)) => {
-                    replay_report.segments_verified += 1;
-                    pii_telemetry::counter("store.segments_verified", 1);
-                    funnel.observe(&crawl.outcome);
-                    degradation.observe(&crawl);
-                    report.merge(fragment);
+    match capture {
+        Capture::Memory(crawls) => {
+            let mut crawls = crawls.into_iter();
+            loop {
+                let batch: Vec<SiteCrawl> = crawls.by_ref().take(STREAM_BATCH).collect();
+                if batch.is_empty() {
+                    break;
                 }
-                Err(e) => {
-                    pii_telemetry::counter("store.segments_skipped", 1);
-                    replay_report.skipped.push(SkippedSegment {
-                        label: Some(entry.label.clone()),
-                        offset: entry.offset,
-                        records: entry.records,
-                        reason: e.to_string(),
-                    });
-                    let placeholder = ArchiveReader::quarantine_placeholder(entry, &e);
-                    funnel.observe(&placeholder.outcome);
-                    degradation.observe(&placeholder);
+                let fragments = parallel_map(workers, &batch, |crawl| detect(detector, crawl));
+                for (crawl, fragment) in batch.into_iter().zip(fragments) {
+                    push(crawl, fragment);
                 }
             }
         }
+        Capture::Archive(reader) => {
+            let entries = reader.entries();
+            let mut replay = reader.replay_report();
+            let mut stats = StreamStats {
+                sites: entries.len(),
+                batches: 0,
+                peak_resident_bytes: 0,
+            };
+            for batch in entries.chunks(STREAM_BATCH) {
+                stats.batches += 1;
+                let resident: u64 = batch.iter().map(|e| u64::from(e.segment_len)).sum();
+                stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
+                let slots = parallel_map(workers, batch, |entry| {
+                    let read = reader.read_entry(entry);
+                    let fragment = read
+                        .as_ref()
+                        .map(|crawl| detect(detector, crawl))
+                        .unwrap_or_default();
+                    (read, fragment)
+                });
+                for (entry, (read, fragment)) in batch.iter().zip(slots) {
+                    push(ArchiveReader::settle(entry, read, &mut replay), fragment);
+                }
+            }
+            pii_telemetry::gauge(
+                "study.stream.peak_resident_bytes",
+                stats.peak_resident_bytes as i64,
+            );
+            fold.archive = Some((replay, stats));
+        }
     }
-    pii_telemetry::gauge(
-        "study.stream.peak_resident_bytes",
-        stats.peak_resident_bytes as i64,
-    );
-    StreamReplay {
-        funnel,
-        degradation,
-        report,
-        replay: replay_report,
-        stats,
+    fold
+}
+
+/// One site's detection fragment: empty unless its flow completed.
+fn detect(detector: &LeakDetector, crawl: &SiteCrawl) -> DetectionReport {
+    if crawl.outcome.completed() {
+        detector.detect_site_isolated(crawl)
+    } else {
+        DetectionReport::default()
     }
 }
 
-/// One batch slot: the decoded crawl plus its detection fragment (empty for
-/// non-completed sites, skipped-records-only when the detect worker
-/// panicked), or the frame error that cost the segment.
-type Slot = Result<(pii_crawler::SiteCrawl, DetectionReport), pii_store::format::FrameError>;
-
-/// Decode and detect a batch in parallel, returning slots in batch order.
-fn decode_batch(
-    reader: &ArchiveReader,
-    detector: &LeakDetector,
+/// `work` over `items` on up to `workers` scoped threads, results in item
+/// order. A slot no worker filled is computed on the calling thread, so
+/// every item yields exactly one result.
+fn parallel_map<T: Sync, R: Send>(
     workers: usize,
-    batch: &[pii_store::format::IndexEntry],
-) -> Vec<Slot> {
-    let fill = |entry: &pii_store::format::IndexEntry| -> Slot {
-        let crawl = reader.read_entry(entry)?;
-        let fragment = if crawl.outcome.completed() {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut fragment = DetectionReport::default();
-                detector.detect_site(&crawl, &mut fragment);
-                fragment
-            }))
-            .unwrap_or_else(|_| {
-                // Mirror `detect_parallel`'s quarantine: the site degrades
-                // into counted skipped records, the replay continues.
-                pii_telemetry::counter("detect.sites_quarantined", 1);
-                DetectionReport {
-                    skipped_records: crawl.records.len(),
-                    ..DetectionReport::default()
-                }
-            })
-        } else {
-            DetectionReport::default()
-        };
-        Ok((crawl, fragment))
-    };
-    let workers = workers.max(1).min(batch.len().max(1));
+    items: &[T],
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
     if workers <= 1 {
-        return batch.iter().map(fill).collect();
+        return items.iter().map(work).collect();
     }
-    let slots: Vec<parking_lot::Mutex<Option<Slot>>> = batch
+    let slots: Vec<parking_lot::Mutex<Option<R>>> = items
         .iter()
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
@@ -167,24 +160,16 @@ fn decode_batch(
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= batch.len() {
-                    break;
-                }
-                let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
+                let (Some(slot), Some(item)) = (slots.get(index), items.get(index)) else {
                     break;
                 };
-                *slot.lock() = Some(fill(item));
+                *slot.lock() = Some(work(item));
             });
         }
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner().unwrap_or(Err(
-                // A worker lost outside the panic guard never filled its
-                // slot; the segment degrades like a damaged one.
-                pii_store::format::FrameError::Corrupt("replay worker lost"),
-            ))
-        })
+        .zip(items)
+        .map(|(slot, item)| slot.into_inner().unwrap_or_else(|| work(item)))
         .collect()
 }

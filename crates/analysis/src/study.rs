@@ -6,6 +6,7 @@
 //! println!("{}", results.render_all());
 //! ```
 
+use crate::streaming::Capture;
 use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_core::tokens::{TokenSet, TokenSetBuilder};
@@ -20,8 +21,8 @@ use std::path::{Path, PathBuf};
 
 /// Where the study's capture comes from: a live crawl of the simulated
 /// universe, or a `.store` archive written by an earlier crawl. Detection
-/// and every downstream analysis are source-agnostic — they only ever see
-/// the resulting [`CrawlDataset`].
+/// and every downstream analysis are source-agnostic — both sources go
+/// through the same capture fold ([`crate::streaming::fold`]).
 #[derive(Debug, Clone, Default)]
 pub enum CaptureSource {
     /// Crawl the universe now (the original pipeline).
@@ -118,91 +119,11 @@ impl Study {
     /// *inside* an archive never panics — damaged segments are skipped and
     /// reported through the degradation section.
     pub fn run(self) -> StudyResults {
-        let workers = self.workers.max(1);
-        // Resolve the capture: live crawl, or archive replay. The universe
-        // is regenerated either way (it is a pure function of the spec), so
-        // detection and every analysis below are source-agnostic.
-        let (universe, dataset, faults, replay) = match &self.source {
-            CaptureSource::Live => {
-                let universe = {
-                    let _span = pii_telemetry::span("study.generate");
-                    Universe::generate_with(self.spec)
-                };
-                let mut crawler = Crawler::new(&universe);
-                crawler.workers = workers;
-                crawler.faults = universe.fault_plan(self.faults);
-                crawler.retry = self.retry;
-                crawler.watchdog_ms = self.watchdog_ms;
-                crawler.cache = self.cache;
-                crawler.repeat = self.repeat;
-                let dataset = {
-                    let mut span = pii_telemetry::span("study.crawl");
-                    span.add_arg("browser", self.capture_browser.name());
-                    crawler.run(self.capture_browser)
-                };
-                (universe, dataset, self.faults, None)
-            }
-            CaptureSource::Archive(path) => {
-                // Documented `# Panics` contract on `run`: an archive that cannot
-                // be opened at all has no degraded flow to fall back to.
-                let reader = ArchiveReader::open(path)
-                    // lint:allow(W04) -- see the `# Panics` contract above
-                    .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-                let meta = reader.meta().clone();
-                let universe = {
-                    let _span = pii_telemetry::span("study.generate");
-                    Universe::generate_with(meta.spec)
-                };
-                let replay = reader.read_dataset();
-                (universe, replay.dataset, meta.faults, Some(replay.report))
-            }
+        let reader = match &self.source {
+            CaptureSource::Live => None,
+            CaptureSource::Archive(path) => Some(open_archive(path)),
         };
-        pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
-        pii_telemetry::gauge("study.workers", workers as i64);
-        let psl = PublicSuffixList::embedded();
-        let tokens = {
-            let _span = pii_telemetry::span("study.tokens");
-            self.tokens.build(&universe.persona)
-        };
-        pii_telemetry::gauge("study.tokens", tokens.len() as i64);
-        let mut report = {
-            let _span = pii_telemetry::span("study.detect");
-            LeakDetector::new(&tokens, &psl, &universe.zones).detect_parallel(&dataset, workers)
-        };
-        pii_telemetry::gauge("study.leak_events", report.events.len() as i64);
-        let (tracking, mut degradation) = {
-            let _span = pii_telemetry::span("study.analyze");
-            (
-                analyze(&report),
-                crate::degradation::compute(&dataset, faults),
-            )
-        };
-        if let Some(rep) = replay {
-            // Records lost to archive damage are accounted for exactly like
-            // records lost to a panicking detect worker; a clean replay adds
-            // nothing, keeping its output byte-identical to a live run.
-            report.skipped_records += rep.skipped_records();
-            if !rep.skipped.is_empty() {
-                degradation.archive_segments = Some((rep.segments_verified, rep.segments_total));
-                degradation.archive_skipped = rep
-                    .skipped
-                    .iter()
-                    .map(|s| (s.describe(), s.reason.clone()))
-                    .collect();
-            }
-        }
-        let funnel = dataset.funnel();
-        StudyResults {
-            universe,
-            psl,
-            dataset,
-            funnel,
-            tokens,
-            report,
-            tracking,
-            degradation,
-            stream: None,
-        }
+        self.run_core(reader.as_ref(), true)
     }
 
     /// [`Study::run`] in streaming, constant-memory mode: the capture is
@@ -223,94 +144,131 @@ impl Study {
     /// As [`Study::run`]: only when the archive cannot be opened at all, or
     /// (live mode) when the spool archive cannot be written.
     pub fn run_streaming(self) -> StudyResults {
-        let workers = self.workers.max(1);
-        match self.source.clone() {
-            CaptureSource::Archive(path) => Study::stream_from(&path, self.tokens.clone(), workers),
+        let spool;
+        let path = match &self.source {
+            CaptureSource::Archive(path) => path.as_path(),
             CaptureSource::Live => {
                 static SPOOL: std::sync::atomic::AtomicUsize =
                     std::sync::atomic::AtomicUsize::new(0);
-                let spool = std::env::temp_dir().join(format!(
-                    "pii-stream-spool-{}-{}.store",
-                    std::process::id(),
-                    SPOOL.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                ));
-                let tokens = self.tokens.clone();
                 // The guard owns the spool from before the first byte is
                 // written: a panicking crawl, replay, or detection pass
                 // unwinds through it and the temp archive is deleted
                 // instead of leaking into the temp dir.
-                let guard = SpoolGuard(spool);
-                self.crawl_to_archive(&guard.0).unwrap_or_else(|e| {
+                spool = SpoolGuard(std::env::temp_dir().join(format!(
+                    "pii-stream-spool-{}-{}.store",
+                    std::process::id(),
+                    SPOOL.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                )));
+                self.crawl_to_archive(&spool.0).unwrap_or_else(|e| {
                     // lint:allow(W04) -- spool write failure precedes any replay; the SpoolGuard unwinds and deletes the temp archive
                     panic!(
                         "cannot spool streaming capture to {}: {e}",
-                        guard.0.display()
+                        spool.0.display()
                     )
                 });
-                Study::stream_from(&guard.0, tokens, workers)
+                spool.0.as_path()
             }
-        }
+        };
+        self.run_core(Some(&open_archive(path)), false)
     }
 
-    /// The replay half of streaming mode: batch replay of one archive.
-    fn stream_from(path: &Path, tokens: TokenSetBuilder, workers: usize) -> StudyResults {
-        let reader = ArchiveReader::open(path)
-            // lint:allow(W04) -- same documented `# Panics` contract as `run`
-            .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-        let meta = reader.meta().clone();
+    /// The one study core behind [`Study::run`] and [`Study::run_streaming`].
+    /// It generates the universe, takes the capture from `archive` or else
+    /// crawls it into memory, builds the tokens, folds the capture through
+    /// detection ([`crate::streaming::fold`]), merges archive damage into
+    /// the degradation report and assembles the results. With `collect`
+    /// the folded crawls become `StudyResults::dataset`; without it they
+    /// are dropped as they fold, and the replay's stats are reported.
+    fn run_core(&self, archive: Option<&ArchiveReader>, collect: bool) -> StudyResults {
+        let workers = self.workers.max(1);
+        // An archive's meta overrides the study's own configuration: the
+        // archive *is* the capture.
+        let (spec, browser, faults) = match archive {
+            Some(reader) => {
+                let meta = reader.meta();
+                (meta.spec.clone(), meta.browser, meta.faults)
+            }
+            None => (self.spec.clone(), self.capture_browser, self.faults),
+        };
         let universe = {
             let _span = pii_telemetry::span("study.generate");
-            Universe::generate_with(meta.spec)
+            Universe::generate_with(spec)
+        };
+        let capture = match archive {
+            Some(reader) => Capture::Archive(reader),
+            None => {
+                let mut span = pii_telemetry::span("study.crawl");
+                span.add_arg("browser", browser.name());
+                Capture::Memory(self.crawler(&universe).run(browser).crawls)
+            }
         };
         pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
         pii_telemetry::gauge("study.workers", workers as i64);
         let psl = PublicSuffixList::embedded();
         let tokens = {
             let _span = pii_telemetry::span("study.tokens");
-            tokens.build(&universe.persona)
+            self.tokens.build(&universe.persona)
         };
         pii_telemetry::gauge("study.tokens", tokens.len() as i64);
-        let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
-        let stream = crate::streaming::replay(&reader, &detector, workers);
-        pii_telemetry::gauge("study.leak_events", stream.report.events.len() as i64);
-        let mut report = stream.report;
+        let mut crawls = Vec::new();
+        let fold = {
+            let _span = pii_telemetry::span("study.detect");
+            let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
+            crate::streaming::fold(capture, &detector, workers, &mut |crawl| {
+                if collect {
+                    crawls.push(crawl);
+                }
+            })
+        };
+        let mut report = fold.report;
+        pii_telemetry::gauge("study.leak_events", report.events.len() as i64);
         let (tracking, mut degradation) = {
             let _span = pii_telemetry::span("study.analyze");
             (
                 analyze(&report),
-                stream.degradation.finish(meta.faults, stream.funnel),
+                fold.degradation.finish(faults, fold.funnel),
             )
         };
-        // Records lost to archive damage are accounted for exactly like
-        // records lost to a panicking detect worker; a clean replay adds
-        // nothing, keeping its output byte-identical to a live run.
-        report.skipped_records += stream.replay.skipped_records();
-        if !stream.replay.skipped.is_empty() {
-            degradation.archive_segments = Some((
-                stream.replay.segments_verified,
-                stream.replay.segments_total,
-            ));
-            degradation.archive_skipped = stream
-                .replay
-                .skipped
-                .iter()
-                .map(|s| (s.describe(), s.reason.clone()))
-                .collect();
+        let mut stream = None;
+        if let Some((replay, stats)) = fold.archive {
+            // Records lost to archive damage are accounted for exactly like
+            // records lost to a panicking detect worker; a clean replay adds
+            // nothing, keeping its output byte-identical to a live run.
+            report.skipped_records += replay.skipped_records();
+            if !replay.skipped.is_empty() {
+                degradation.archive_segments =
+                    Some((replay.segments_verified, replay.segments_total));
+                degradation.archive_skipped = replay
+                    .skipped
+                    .iter()
+                    .map(|s| (s.describe(), s.reason.clone()))
+                    .collect();
+            }
+            stream = (!collect).then_some(stats);
         }
         StudyResults {
-            dataset: CrawlDataset {
-                browser: meta.browser,
-                crawls: Vec::new(),
-            },
             universe,
             psl,
-            funnel: stream.funnel,
+            dataset: CrawlDataset { browser, crawls },
+            funnel: fold.funnel,
             tokens,
             report,
             tracking,
             degradation,
-            stream: Some(stream.stats),
+            stream,
         }
+    }
+
+    /// A crawler over `universe` configured from this study.
+    fn crawler<'u>(&self, universe: &'u Universe) -> Crawler<'u> {
+        let mut crawler = Crawler::new(universe);
+        crawler.workers = self.workers.max(1);
+        crawler.faults = universe.fault_plan(self.faults);
+        crawler.retry = self.retry;
+        crawler.watchdog_ms = self.watchdog_ms;
+        crawler.cache = self.cache;
+        crawler.repeat = self.repeat;
+        crawler
     }
 
     /// Run only §3 (the crawl), streaming each site's capture into the
@@ -319,7 +277,7 @@ impl Study {
     /// the sealed archive's summary plus the funnel accounting (for the
     /// `crawl` subcommand's printout); replay the archive later with
     /// [`Study::from_archive`].
-    pub fn crawl_to_archive(self, path: &Path) -> std::io::Result<(StoreSummary, CrawlSummary)> {
+    pub fn crawl_to_archive(&self, path: &Path) -> std::io::Result<(StoreSummary, CrawlSummary)> {
         self.crawl_to_archive_with(path, false, None)
     }
 
@@ -341,14 +299,14 @@ impl Study {
     /// this returns the kill error with the torn file left on disk —
     /// exactly what a process death at that byte would leave.
     pub fn crawl_to_archive_with(
-        self,
+        &self,
         path: &Path,
         resume: bool,
         kill: Option<FailPoint>,
     ) -> std::io::Result<(StoreSummary, CrawlSummary)> {
         let universe = {
             let _span = pii_telemetry::span("study.generate");
-            Universe::generate_with(self.spec)
+            Universe::generate_with(self.spec.clone())
         };
         pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
         pii_telemetry::gauge("study.workers", self.workers.max(1) as i64);
@@ -357,13 +315,7 @@ impl Study {
             browser: self.capture_browser,
             faults: self.faults,
         };
-        let mut crawler = Crawler::new(&universe);
-        crawler.workers = self.workers.max(1);
-        crawler.faults = universe.fault_plan(self.faults);
-        crawler.retry = self.retry;
-        crawler.watchdog_ms = self.watchdog_ms;
-        crawler.cache = self.cache;
-        crawler.repeat = self.repeat;
+        let crawler = self.crawler(&universe);
         let (writer, kept) = if resume {
             let (writer, state) = ArchiveWriter::open_append_with_failpoint(path, &meta, kill)?;
             (writer, state.kept)
@@ -441,6 +393,15 @@ impl Study {
             },
         ))
     }
+}
+
+/// Open the archive a study replays. Documented `# Panics` contract on
+/// [`Study::run`]: an archive that cannot be opened at all has no degraded
+/// flow to fall back to.
+fn open_archive(path: &Path) -> ArchiveReader {
+    ArchiveReader::open(path)
+        // lint:allow(W04) -- see the `# Panics` contract on `Study::run`
+        .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()))
 }
 
 /// Owns the temporary spool archive a live streaming run writes; deletes it

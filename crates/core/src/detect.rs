@@ -154,62 +154,21 @@ impl<'a> LeakDetector<'a> {
         report
     }
 
-    /// Run detection sharded per-site over a fixed worker pool.
-    ///
-    /// Workers pull sites off a shared index counter (work-stealing by
-    /// construction: a worker stuck on a large site simply claims fewer
-    /// sites), produce one [`DetectionReport`] fragment per site, and the
-    /// fragments are merged in canonical site order. Because
-    /// [`detect_site`](Self::detect_site) is a pure function of one crawl,
-    /// the merged report is byte-identical to [`detect`](Self::detect) —
-    /// event order, counters, everything (the `parallel_equals_sequential`
-    /// integration test pins this down).
-    ///
-    /// The token set, PSL, and zone store are shared by reference across
-    /// workers; nothing is cloned.
-    ///
-    /// A panicking worker does not abort the process: the panic is caught
-    /// per site, the site degrades into a fragment that only counts its
-    /// records as [`DetectionReport::skipped_records`] (mirroring the crawl
-    /// pool's quarantine), and the remaining shards complete normally.
-    pub fn detect_parallel(&self, dataset: &CrawlDataset, workers: usize) -> DetectionReport {
-        let crawls: Vec<&SiteCrawl> = dataset.completed().collect();
-        if workers <= 1 || crawls.len() <= 1 {
-            return self.detect(dataset);
-        }
-        let fragments: parking_lot::Mutex<Vec<(usize, DetectionReport)>> =
-            parking_lot::Mutex::new(Vec::with_capacity(crawls.len()));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Every per-site panic is caught inside the worker loop; a site no
-        // worker delivered surfaces through the gap-fill below instead.
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= crawls.len() {
-                        break;
-                    }
-                    let fragment = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut fragment = DetectionReport::default();
-                        self.detect_site(crawls[index], &mut fragment);
-                        fragment
-                    }))
-                    .unwrap_or_else(|_| skipped_site(crawls[index]));
-                    fragments.lock().push((index, fragment));
-                });
-            }
-        });
-        let mut by_index: Vec<Option<DetectionReport>> = crawls.iter().map(|_| None).collect();
-        for (index, fragment) in fragments.into_inner() {
-            if index < by_index.len() {
-                by_index[index] = Some(fragment);
-            }
-        }
-        let mut report = DetectionReport::default();
-        for (index, slot) in by_index.into_iter().enumerate() {
-            report.merge(slot.unwrap_or_else(|| skipped_site(crawls[index])));
-        }
-        report
+    /// [`detect_site`](Self::detect_site) into a fresh fragment, with the
+    /// site isolated: a panic is caught, and the site degrades into a
+    /// fragment that only counts its records as
+    /// [`DetectionReport::skipped_records`] (mirroring the crawl pool's
+    /// quarantine), so the rest of the pass completes normally. The study's
+    /// capture fold calls this for every completed site; merging the
+    /// fragments in canonical site order reproduces [`detect`](Self::detect)
+    /// byte for byte.
+    pub fn detect_site_isolated(&self, crawl: &SiteCrawl) -> DetectionReport {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut fragment = DetectionReport::default();
+            self.detect_site(crawl, &mut fragment);
+            fragment
+        }))
+        .unwrap_or_else(|_| skipped_site(crawl))
     }
 
     /// Run detection over one site's capture.
@@ -540,21 +499,28 @@ mod tests {
         }
     }
 
+    /// Site-by-site isolated detection, merged in canonical order.
+    fn detect_isolated(detector: &LeakDetector, dataset: &CrawlDataset) -> DetectionReport {
+        let mut report = DetectionReport::default();
+        for crawl in dataset.completed() {
+            report.merge(detector.detect_site_isolated(crawl));
+        }
+        report
+    }
+
     #[test]
-    fn parallel_detection_is_identical_to_sequential() {
+    fn isolated_detection_is_identical_to_sequential() {
         let w = world();
         let detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
         let sequential = detector.detect(&w.dataset);
-        for workers in [1, 2, 4, 7] {
-            let parallel = detector.detect_parallel(&w.dataset, workers);
-            assert_eq!(parallel.events, sequential.events, "workers = {workers}");
-            assert_eq!(
-                parallel.third_party_requests,
-                sequential.third_party_requests
-            );
-            assert_eq!(parallel.total_requests, sequential.total_requests);
-            assert_eq!(parallel.skipped_records, sequential.skipped_records);
-        }
+        let isolated = detect_isolated(&detector, &w.dataset);
+        assert_eq!(isolated.events, sequential.events);
+        assert_eq!(
+            isolated.third_party_requests,
+            sequential.third_party_requests
+        );
+        assert_eq!(isolated.total_requests, sequential.total_requests);
+        assert_eq!(isolated.skipped_records, sequential.skipped_records);
     }
 
     #[test]
@@ -729,7 +695,7 @@ mod tests {
     fn panicking_detect_worker_degrades_to_skipped_records() {
         let w = world();
         let mut detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
-        let baseline = detector.detect_parallel(&w.dataset, 4);
+        let baseline = detect_isolated(&detector, &w.dataset);
         let victim = w
             .dataset
             .completed()
@@ -742,7 +708,7 @@ mod tests {
         detector.detect_site(w.dataset.site(&victim).unwrap(), &mut victim_only);
 
         detector.panic_domains.insert(victim.clone());
-        let degraded = detector.detect_parallel(&w.dataset, 4);
+        let degraded = detect_isolated(&detector, &w.dataset);
 
         // The pass finishes; the victim degrades into skipped records while
         // every other site's events survive byte-identically.

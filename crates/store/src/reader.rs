@@ -260,8 +260,8 @@ impl ArchiveReader {
     }
 
     /// Anonymous damaged regions found while indexing (recovery scan only);
-    /// a streaming replay seeds its skip list with these, exactly as
-    /// [`ArchiveReader::read_dataset`] does.
+    /// every replay's skip list starts with these
+    /// ([`ArchiveReader::replay_report`]).
     pub fn scan_damage(&self) -> &[SkippedSegment] {
         &self.scan_damage
     }
@@ -404,64 +404,75 @@ impl ArchiveReader {
         self.decode_entry(entry).ok()
     }
 
-    /// Verify and decode one indexed segment — the streaming replay's
-    /// per-site read. Shares the CRC/decode path with
-    /// [`ArchiveReader::read_dataset`]; on failure the caller builds the
-    /// same placeholder via [`ArchiveReader::quarantine_placeholder`].
+    /// Verify and decode one indexed segment — the replay fold's per-site
+    /// read. Shares the CRC/decode path with
+    /// [`ArchiveReader::read_dataset`]; hand the result to
+    /// [`ArchiveReader::settle`] to turn it into a dataset row.
     pub fn read_entry(&self, entry: &IndexEntry) -> Result<SiteCrawl, FrameError> {
         self.decode_entry(entry)
     }
 
-    /// The `Quarantined` placeholder row standing in for a damaged segment —
-    /// one shared constructor so the materialized and streaming replays
-    /// degrade identically, byte for byte.
-    pub fn quarantine_placeholder(entry: &IndexEntry, error: &FrameError) -> SiteCrawl {
-        SiteCrawl {
-            domain: entry.label.clone(),
-            outcome: CrawlOutcome::Quarantined(format!(
-                "archive: segment {} ({} records lost)",
-                error, entry.records
-            )),
-            records: Vec::new(),
-            stored_cookies: Vec::new(),
-            resilience: None,
-        }
-    }
-
-    /// Read the whole capture back, skipping damaged segments.
-    ///
-    /// Every indexed site keeps a row in the dataset: a damaged segment
-    /// yields a `Quarantined` placeholder (reason prefixed with
-    /// `archive:`), so the funnel and degradation report account for the
-    /// loss instead of the site silently vanishing.
-    pub fn read_dataset(&self) -> Replay {
-        let _span = pii_telemetry::span("store.read");
-        let mut report = ReplayReport {
+    /// The health accounting a replay pass starts from: every indexed
+    /// segment still to settle, plus the anonymous damage found while
+    /// indexing.
+    pub fn replay_report(&self) -> ReplayReport {
+        ReplayReport {
             segments_total: self.index.len(),
             used_footer: self.used_footer,
             skipped: self.scan_damage.clone(),
             ..ReplayReport::default()
-        };
-        let mut crawls = Vec::with_capacity(self.index.len());
-        for entry in &self.index {
-            match self.decode_entry(entry) {
-                Ok(crawl) => {
-                    report.segments_verified += 1;
-                    pii_telemetry::counter("store.segments_verified", 1);
-                    crawls.push(crawl);
-                }
-                Err(e) => {
-                    pii_telemetry::counter("store.segments_skipped", 1);
-                    report.skipped.push(SkippedSegment {
-                        label: Some(entry.label.clone()),
-                        offset: entry.offset,
-                        records: entry.records,
-                        reason: e.to_string(),
-                    });
-                    crawls.push(ArchiveReader::quarantine_placeholder(entry, &e));
+        }
+    }
+
+    /// The one place a read of `entry` becomes a dataset row. A verified
+    /// segment is counted and passed through. A damaged one is noted in
+    /// `report` as a [`SkippedSegment`] and replaced by a `Quarantined`
+    /// placeholder (reason prefixed with `archive:`), so the funnel and
+    /// degradation report account for the loss instead of the site
+    /// silently vanishing — identically for every replay.
+    pub fn settle(
+        entry: &IndexEntry,
+        read: Result<SiteCrawl, FrameError>,
+        report: &mut ReplayReport,
+    ) -> SiteCrawl {
+        match read {
+            Ok(crawl) => {
+                report.segments_verified += 1;
+                pii_telemetry::counter("store.segments_verified", 1);
+                crawl
+            }
+            Err(e) => {
+                pii_telemetry::counter("store.segments_skipped", 1);
+                report.skipped.push(SkippedSegment {
+                    label: Some(entry.label.clone()),
+                    offset: entry.offset,
+                    records: entry.records,
+                    reason: e.to_string(),
+                });
+                SiteCrawl {
+                    domain: entry.label.clone(),
+                    outcome: CrawlOutcome::Quarantined(format!(
+                        "archive: segment {} ({} records lost)",
+                        e, entry.records
+                    )),
+                    records: Vec::new(),
+                    stored_cookies: Vec::new(),
+                    resilience: None,
                 }
             }
         }
+    }
+
+    /// Read the whole capture back, skipping damaged segments: every
+    /// indexed site keeps a row (see [`ArchiveReader::settle`]).
+    pub fn read_dataset(&self) -> Replay {
+        let _span = pii_telemetry::span("store.read");
+        let mut report = self.replay_report();
+        let crawls = self
+            .index
+            .iter()
+            .map(|entry| ArchiveReader::settle(entry, self.decode_entry(entry), &mut report))
+            .collect();
         Replay {
             dataset: CrawlDataset {
                 browser: self.meta.browser,

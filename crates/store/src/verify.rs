@@ -16,7 +16,7 @@
 //! explicit), and anonymous damaged regions — bytes no index entry claims —
 //! are dropped and counted.
 
-use crate::reader::{ArchiveReader, SkippedSegment, StoreError};
+use crate::reader::{ArchiveReader, ReplayReport, SkippedSegment, StoreError};
 use crate::writer::ArchiveWriter;
 use std::path::Path;
 
@@ -92,25 +92,17 @@ pub struct RepairSummary {
 /// raised.
 pub fn verify(path: &Path) -> Result<VerifyReport, StoreError> {
     let reader = ArchiveReader::open(path)?;
-    let mut report = VerifyReport {
-        finalized: reader.used_footer(),
-        segments_total: reader.len(),
-        segments_verified: 0,
-        damaged: reader.scan_damage().to_vec(),
-        bytes: reader.size_bytes(),
-    };
+    let mut replay = reader.replay_report();
     for entry in reader.entries() {
-        match reader.read_entry(entry) {
-            Ok(_) => report.segments_verified += 1,
-            Err(e) => report.damaged.push(SkippedSegment {
-                label: Some(entry.label.clone()),
-                offset: entry.offset,
-                records: entry.records,
-                reason: e.to_string(),
-            }),
-        }
+        ArchiveReader::settle(entry, reader.read_entry(entry), &mut replay);
     }
-    Ok(report)
+    Ok(VerifyReport {
+        finalized: replay.used_footer,
+        segments_total: replay.segments_total,
+        segments_verified: replay.segments_verified,
+        damaged: replay.skipped,
+        bytes: reader.size_bytes(),
+    })
 }
 
 /// Rewrite the recoverable content of `path` into a fresh finalized archive
@@ -121,23 +113,15 @@ pub fn verify(path: &Path) -> Result<VerifyReport, StoreError> {
 pub fn repair(path: &Path, out: &Path) -> Result<RepairSummary, StoreError> {
     let reader = ArchiveReader::open(path)?;
     let mut writer = ArchiveWriter::create(out, reader.meta())?;
-    let mut summary = RepairSummary {
-        regions_dropped: reader.scan_damage().len(),
-        ..RepairSummary::default()
-    };
+    let mut replay = ReplayReport::default();
     for entry in reader.entries() {
-        match reader.read_entry(entry) {
-            Ok(crawl) => {
-                writer.append_site(entry.site_index as usize, &crawl)?;
-                summary.segments_recovered += 1;
-            }
-            Err(e) => {
-                let placeholder = ArchiveReader::quarantine_placeholder(entry, &e);
-                writer.append_site(entry.site_index as usize, &placeholder)?;
-                summary.segments_quarantined += 1;
-            }
-        }
+        let row = ArchiveReader::settle(entry, reader.read_entry(entry), &mut replay);
+        writer.append_site(entry.site_index as usize, &row)?;
     }
     writer.finish()?;
-    Ok(summary)
+    Ok(RepairSummary {
+        segments_recovered: replay.segments_verified,
+        segments_quarantined: replay.skipped.len(),
+        regions_dropped: reader.scan_damage().len(),
+    })
 }

@@ -56,8 +56,7 @@
 #![forbid(unsafe_code)]
 
 use pii_suite::analysis::{
-    ablations, aggregates, browsers, counterfactual, crowdsource, dataset, degradation, figure2,
-    table1, table2, table3, table4, Study, StudyResults,
+    ablations, browsers, counterfactual, crowdsource, dataset, table4, Study, StudyResults,
 };
 use pii_suite::crawler::RetryPolicy;
 use pii_suite::net::cache::CacheStrategy;
@@ -138,19 +137,6 @@ fn run_study(args: &StudyArgs) -> StudyResults {
         study.run_streaming()
     } else {
         study.run()
-    }
-}
-
-fn print_tables(r: &StudyResults) {
-    println!("{}", aggregates::render(r));
-    for t in table1::tables(r) {
-        println!("{}", t.render());
-    }
-    println!("{}", figure2::table(r).render());
-    println!("{}", table2::table(r).render());
-    println!("{}", table3::table(r).render());
-    if r.degradation.should_render() {
-        println!("{}", degradation::table(&r.degradation).render());
     }
 }
 
@@ -259,7 +245,7 @@ fn main() {
     match command.as_str() {
         "full" => {
             let r = run_study(&study_args);
-            print_tables(&r);
+            print!("{}", r.render_all());
             println!("{}", table4::table(&r).render());
             println!(
                 "providers missed by the combined lists: {:?}\n",
@@ -278,7 +264,7 @@ fn main() {
         }
         "tables" => {
             let r = run_study(&study_args);
-            print_tables(&r);
+            print!("{}", r.render_all());
             if let Some(s) = r.stream {
                 eprintln!(
                     "streamed {} sites in {} batches; peak resident segment bytes: {}",

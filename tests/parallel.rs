@@ -3,6 +3,7 @@
 //! counter, and every downstream table is byte-identical regardless of the
 //! worker count.
 
+use pii_suite::analysis::streaming::{fold, Capture};
 use pii_suite::net::cache::CacheStrategy;
 use pii_suite::prelude::*;
 use std::sync::OnceLock;
@@ -24,7 +25,15 @@ fn parallel_equals_sequential() {
     let detector = LeakDetector::new(tokens, psl, &universe.zones);
     let sequential = detector.detect(dataset);
     for workers in [1, 2, 3, 4, 8, 64] {
-        let parallel = detector.detect_parallel(dataset, workers);
+        // The study's capture fold over an in-memory capture: per-site
+        // detection in parallel batches, merged in canonical site order.
+        let parallel = fold(
+            Capture::Memory(dataset.crawls.clone()),
+            &detector,
+            workers,
+            &mut |_| {},
+        )
+        .report;
         // Events identical, in order — senders, receivers, methods,
         // encoding buckets, params, everything.
         assert_eq!(

@@ -55,6 +55,45 @@ fn replay_is_byte_identical_to_live_for_any_workers_and_faults() {
     }
 }
 
+/// The materialized replay of a damaged archive goes through the study's
+/// capture fold, not through `read_dataset`: its collected dataset must
+/// still equal `read_dataset`'s rows (the damaged site kept as a
+/// `Quarantined` placeholder), and its tables must equal the streaming
+/// replay's.
+#[test]
+fn materialized_replay_of_a_damaged_archive_matches_read_dataset() {
+    let path = temp_path("one-damaged-segment.store");
+    Study::paper()
+        .crawl_to_archive(&path)
+        .expect("write capture archive");
+    let mut bytes = std::fs::read(&path).expect("read archive");
+    let entry = ArchiveReader::from_bytes(bytes.clone())
+        .expect("open")
+        .entries()
+        .iter()
+        .find(|e| e.records > 0)
+        .cloned()
+        .expect("a site with records");
+    // The middle of a record-holding segment lies inside its payload.
+    bytes[(entry.offset + u64::from(entry.segment_len) / 2) as usize] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("write damaged archive");
+
+    let read = ArchiveReader::open(&path)
+        .expect("open damaged archive")
+        .read_dataset();
+    assert_eq!(read.report.skipped.len(), 1, "one flip, one segment");
+    let materialized = Study::from_archive(&path).run();
+    assert_eq!(
+        dataset_json(&materialized.dataset),
+        dataset_json(&read.dataset)
+    );
+    let streamed = Study::from_archive(&path).run_streaming();
+    assert_eq!(materialized.render_all(), streamed.render_all());
+    assert!(materialized
+        .render_all()
+        .contains("archive segments skipped"));
+}
+
 /// The archive's meta wins over the replaying study's own configuration:
 /// a capture crawled under the paper's fault profile reports that profile's
 /// degradation even when the replay asked for `none`.

@@ -90,6 +90,16 @@ fn disabled_telemetry_leaves_study_output_byte_identical() {
     assert!(snapshot.counter("browser.pages") > 0);
     assert!(snapshot.counter("detect.requests") > 0);
     assert!(!snapshot.spans.is_empty());
+    // A live run folds its capture in memory: no archive is read or written.
+    assert!(
+        snapshot.counters.keys().all(|k| !k.starts_with("store."))
+            && !snapshot
+                .gauges
+                .contains_key("study.stream.peak_resident_bytes"),
+        "a live run touched the archive path: {:?} / {:?}",
+        snapshot.counters.keys().collect::<Vec<_>>(),
+        snapshot.gauges
+    );
 }
 
 #[test]
