@@ -23,9 +23,10 @@ pub enum CrawlOutcome {
     /// The browser itself broke the flow (Brave Shields vs. the nykaa.com
     /// CAPTCHA, §7.1).
     SignupFailed(String),
-    /// The crawl worker crashed on this site twice (once on a second worker
-    /// after requeueing); the site is isolated with the recorded reason
-    /// instead of aborting the whole crawl.
+    /// The site was given up on — its crawl panicked twice (the retry ran
+    /// with a fresh browser), blew the watchdog deadline, or its archive
+    /// segment was damaged — and is isolated with the recorded reason
+    /// instead of aborting the whole run.
     Quarantined(String),
 }
 

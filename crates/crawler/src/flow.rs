@@ -1,9 +1,8 @@
 //! The authentication-flow driver.
 
 use crate::capture::{CrawlDataset, CrawlOutcome, SiteCrawl};
-use crate::pool::{DeliveryBoard, PanicLedger};
 use crate::retry::RetryPolicy;
-use crate::steps::{FlowStep, PageRun, SiteFlow};
+use crate::steps::{walk, PageRun};
 use parking_lot::Mutex;
 use pii_browser::engine::Browser;
 use pii_browser::profiles::BrowserKind;
@@ -143,12 +142,10 @@ impl<'a> Crawler<'a> {
     }
 
     /// The worker pool underneath both execution modes: one OS thread per
-    /// worker, work claimed from a shared queue. `deliver` receives every
-    /// site exactly once, by value: completed shards in completion order
-    /// from the worker threads, then — after the pool drains — a
-    /// quarantined placeholder in index order for any site nobody delivered
-    /// (worker lost outside the panic guard), so no site is silently
-    /// dropped. The pool itself holds no results.
+    /// worker, sites claimed from a shared counter. `deliver` receives every
+    /// site exactly once, by value, in completion order. A crawl that panics
+    /// is retried at once on the same worker with a fresh browser, and
+    /// quarantined if it panics again. The pool itself holds no results.
     fn run_pool(
         &self,
         profile: pii_browser::profiles::BrowserProfile,
@@ -157,69 +154,26 @@ impl<'a> Crawler<'a> {
     ) -> BrowserKind {
         let sites = self.site_list(filter);
         let plan = (!self.faults.is_inert()).then_some(&self.faults);
-        let board = DeliveryBoard::new(sites.len());
-        let ledger = PanicLedger::new(sites.len());
         let next = AtomicUsize::new(0);
-        // Sites whose worker panicked, tagged with the panicking worker so a
-        // *different* worker retries them when possible.
-        let requeued: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for worker_id in 0..self.workers.max(1) {
-                let (profile, sites, board) = (&profile, &sites, &board);
-                let (next, requeued, ledger) = (&next, &requeued, &ledger);
+                let (profile, sites, next) = (&profile, &sites, &next);
                 scope.spawn(move || {
                     let mut browser = self.fresh_browser(profile, plan);
-                    loop {
-                        // Requeued sites take priority; a worker skips its
-                        // own casualties until the fresh queue is drained,
-                        // after which anyone may take them (no deadlock when
-                        // only the panicking worker is left).
-                        let fresh_done = next.load(Ordering::Relaxed) >= sites.len();
-                        let retried = {
-                            let mut queue = requeued.lock();
-                            queue
-                                .iter()
-                                .position(|&(_, from)| from != worker_id)
-                                .or_else(|| (fresh_done && !queue.is_empty()).then_some(0))
-                                .map(|pos| queue.remove(pos))
-                        };
-                        let index = match retried {
-                            Some((index, _)) => index,
-                            None => {
-                                let index = next.fetch_add(1, Ordering::Relaxed);
-                                if index >= sites.len() {
-                                    if requeued.lock().is_empty() {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                                index
-                            }
-                        };
-                        let attempt = {
-                            let mut span = pii_telemetry::span("crawl.site");
-                            span.add_arg("site", &sites[index].domain);
-                            let browser = &mut browser;
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                    crawl_one(
-                                        browser,
-                                        sites[index],
-                                        plan,
-                                        &self.retry,
-                                        self.watchdog_ms,
-                                        self.repeat,
-                                    )
-                                }));
-                            if let Ok(crawl) = &attempt {
+                    // One guarded crawl of `site`. A panic rebuilds the
+                    // browser (an unwound one's state is suspect) and
+                    // returns the panic's reason.
+                    let mut attempt = |site: &Site| {
+                        let mut span = pii_telemetry::span("crawl.site");
+                        span.add_arg("site", &site.domain);
+                        let crawl = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            self.crawl_one(&mut browser, site, plan)
+                        }));
+                        match crawl {
+                            Ok(crawl) => {
                                 if let Some(res) = &crawl.resilience {
                                     span.set_virtual_ms(res.virtual_ms);
                                 }
-                            }
-                            attempt
-                        };
-                        match attempt {
-                            Ok(crawl) => {
                                 pii_telemetry::counter("crawler.sites", 1);
                                 // Per-worker site claims are a scheduling
                                 // artifact, not a seed artifact; the name is
@@ -230,38 +184,33 @@ impl<'a> Crawler<'a> {
                                         1,
                                     );
                                 }
-                                board.mark(index);
-                                deliver(index, crawl);
+                                Ok(crawl)
                             }
                             Err(payload) => {
                                 pii_telemetry::counter("crawler.panics", 1);
-                                // State of an unwound browser is suspect:
-                                // rebuild before the next site.
                                 browser = self.fresh_browser(profile, plan);
-                                let reason = panic_reason(payload.as_ref());
-                                if ledger.first_panic(index) {
-                                    requeued.lock().push((index, worker_id));
-                                } else {
-                                    let crawl = quarantined(
-                                        sites[index],
-                                        format!("crawl worker panicked twice: {reason}"),
-                                    );
-                                    board.mark(index);
-                                    deliver(index, crawl);
-                                }
+                                Err(panic_reason(payload.as_ref()))
                             }
                         }
+                    };
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&site) = sites.get(index) else {
+                            break;
+                        };
+                        let crawl =
+                            attempt(site)
+                                .or_else(|_| attempt(site))
+                                .unwrap_or_else(|reason| {
+                                    quarantined(
+                                        site,
+                                        format!("crawl worker panicked twice: {reason}"),
+                                    )
+                                });
+                        deliver(index, crawl);
                     }
                 });
             }
-        });
-        // Gap-fill: a site nobody delivered (worker lost outside the panic
-        // guard) is quarantined rather than silently dropped.
-        board.fill_gaps(|index| {
-            deliver(
-                index,
-                quarantined(sites[index], "crawl worker lost".to_string()),
-            );
         });
         profile.kind
     }
@@ -284,6 +233,43 @@ impl<'a> Crawler<'a> {
             .collect()
     }
 
+    /// Walk the §3.2 flow against one site, then apply the per-site watchdog
+    /// deadline (if armed). Without a fault plan the walk trusts the site's
+    /// configured outcome; under one, the outcome is *measured* from the faults
+    /// the transport actually exhibited. (Without a schedule in the plan, every
+    /// site behaves perfectly — the configured funnel emerges only because the
+    /// plan was derived from the universe.)
+    fn crawl_one(&self, browser: &mut Browser, site: &Site, plan: Option<&FaultPlan>) -> SiteCrawl {
+        browser.reset();
+        let Some(base) = site_url(site, "/") else {
+            return quarantined(site, "site domain does not form a valid URL".to_string());
+        };
+        let crawl = match plan {
+            Some(plan) => {
+                let mut run = PageRun::new(plan, &self.retry);
+                let outcome = walk(browser, site, &base, true, self.repeat, |browser, ctx| {
+                    run.load(browser, site, ctx).err()
+                });
+                run.finish(browser, site, outcome)
+            }
+            None => {
+                let mut records = Vec::new();
+                let outcome = walk(browser, site, &base, false, self.repeat, |browser, ctx| {
+                    records.extend(browser.load_page(site, ctx));
+                    None
+                });
+                SiteCrawl {
+                    domain: site.domain.clone(),
+                    outcome,
+                    records,
+                    stored_cookies: browser.jar().all().into_iter().cloned().collect(),
+                    resilience: None,
+                }
+            }
+        };
+        apply_watchdog(crawl, self.watchdog_ms)
+    }
+
     fn fresh_browser<'b>(
         &'b self,
         profile: &pii_browser::profiles::BrowserProfile,
@@ -299,23 +285,6 @@ impl<'a> Crawler<'a> {
         browser.set_cache_strategy(self.cache);
         browser
     }
-}
-
-/// Crawl one site, dispatching on whether faults are being injected, then
-/// apply the per-site watchdog deadline (if armed).
-fn crawl_one(
-    browser: &mut Browser,
-    site: &Site,
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    watchdog_ms: Option<u64>,
-    repeat: u32,
-) -> SiteCrawl {
-    let crawl = match plan {
-        Some(plan) => crawl_site_measured(browser, site, plan, retry, repeat),
-        None => crawl_site(browser, site, repeat),
-    };
-    apply_watchdog(crawl, watchdog_ms)
 }
 
 /// Quarantine a crawl whose virtual clock blew past the watchdog deadline.
@@ -342,7 +311,8 @@ fn apply_watchdog(crawl: SiteCrawl, watchdog_ms: Option<u64>) -> SiteCrawl {
     }
 }
 
-/// A site the pool gave up on after repeated worker panics.
+/// A site given up on without a crawl: repeated worker panics, or a
+/// domain that does not form a URL.
 fn quarantined(site: &Site, reason: String) -> SiteCrawl {
     pii_telemetry::counter("crawler.quarantined", 1);
     SiteCrawl {
@@ -369,62 +339,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// valid URL — such a site is isolated, never crashed on.
 pub(crate) fn site_url(site: &Site, path: &str) -> Option<Url> {
     Url::parse(&format!("https://{}{}", site.domain, path)).ok()
-}
-
-/// Run the full §3.2 flow against one site, trusting the configured
-/// outcome. The page sequence lives in [`SiteFlow`]; this just spins it.
-fn crawl_site(browser: &mut Browser, site: &Site, repeat: u32) -> SiteCrawl {
-    browser.reset();
-    let Some(base) = site_url(site, "/") else {
-        return quarantined(site, "site domain does not form a valid URL".to_string());
-    };
-    let mut flow = SiteFlow::new(false, repeat);
-    let mut records = Vec::new();
-    let outcome = loop {
-        match flow.next(browser, site, &base, None) {
-            FlowStep::Load(ctx) => records.extend(browser.load_page(site, &ctx)),
-            FlowStep::NextVisit => browser.advance_visit(),
-            FlowStep::Finish(outcome) => break outcome,
-        }
-    };
-    SiteCrawl {
-        domain: site.domain.clone(),
-        outcome,
-        records,
-        stored_cookies: browser.jar().all().into_iter().cloned().collect(),
-        resilience: None,
-    }
-}
-
-/// Run the §3.2 flow against one site under fault injection: the outcome is
-/// *measured* from the faults the transport actually exhibited, not read
-/// from the site's configuration. (Without a schedule in the plan, every
-/// site behaves perfectly — the configured funnel emerges only because the
-/// plan was derived from the universe.)
-fn crawl_site_measured(
-    browser: &mut Browser,
-    site: &Site,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    repeat: u32,
-) -> SiteCrawl {
-    browser.reset();
-    let Some(base) = site_url(site, "/") else {
-        return quarantined(site, "site domain does not form a valid URL".to_string());
-    };
-    let mut flow = SiteFlow::new(true, repeat);
-    let mut run = PageRun::new(plan, retry);
-    let mut failed = None;
-    loop {
-        match flow.next(browser, site, &base, failed.as_ref()) {
-            FlowStep::Load(ctx) => failed = run.load(browser, site, &ctx).err(),
-            FlowStep::NextVisit => {
-                browser.advance_visit();
-                failed = None;
-            }
-            FlowStep::Finish(outcome) => return run.finish(browser, site, outcome),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,15 +23,14 @@
 //! Under a non-inert [`pii_net::fault::FaultPlan`] the crawler switches from
 //! the config-driven happy path to a *measured* crawl: every page load is
 //! retried per [`retry::RetryPolicy`], sites are classified from the faults
-//! they actually exhibited, and a worker that panics has its site requeued
-//! once and then quarantined — the crawl itself never aborts.
+//! they actually exhibited, and a crawl that panics is retried once with a
+//! fresh browser and then quarantined — the crawl itself never aborts.
 
 #![forbid(unsafe_code)]
 
 pub mod capture;
 pub mod flow;
 pub mod har;
-mod pool;
 pub mod retry;
 mod steps;
 

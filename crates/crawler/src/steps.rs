@@ -1,18 +1,16 @@
-//! The §3.2 authentication flow as an explicit state machine.
+//! The §3.2 authentication flow as one straight-line walk.
 //!
 //! Every site walks the same page sequence: homepage → sign-up → submit →
 //! optional confirmation → post-signup browsing, and — when repeat visits
-//! are configured — warm-cache revisits. [`SiteFlow`] encodes that sequence
-//! once, as a pull-based machine: the crawl loop asks for the next
-//! [`FlowStep`], performs it, and reports the result back on the next call.
-//! Page order, outcome mapping, and failure-reason strings live here and
-//! only here.
+//! are configured — warm-cache revisits. [`walk`] spells that sequence out
+//! once; page order, outcome mapping, and failure-reason strings live here
+//! and only here.
 //!
-//! The machine runs in two modes. *Config* mode (no fault plan) trusts
-//! `site.outcome` like the original happy path; *measured* mode derives
-//! outcomes from the failures the transport actually exhibited, consulting
-//! the [`PageFailure`] the crawl loop passes back in; [`PageRun`] holds
-//! that mode's retry loop.
+//! The walk runs in two modes. *Config* mode (no fault plan) trusts
+//! `site.outcome` like the original happy path, and its page loads cannot
+//! fail; *measured* mode derives outcomes from the failures the transport
+//! actually exhibited, as reported by the caller's `load`; [`PageRun`]
+//! holds that mode's retry loop.
 
 use crate::capture::{CrawlOutcome, SiteCrawl, SiteResilience};
 use crate::retry::{RetryPolicy, SimClock};
@@ -35,229 +33,104 @@ pub(crate) struct PageFailure {
     attempts: u32,
 }
 
-/// What the crawl loop should do next with this site.
-pub(crate) enum FlowStep {
-    /// Load this page (with retries, in measured mode), then call
-    /// [`SiteFlow::next`] again with the result.
-    Load(PageContext),
-    /// The visit finished and another is configured: advance the browser's
-    /// cache clock (`Browser::advance_visit`) and continue.
-    NextVisit,
-    /// The crawl is over.
-    Finish(CrawlOutcome),
-}
-
-enum Stage {
-    Start,
-    /// The homepage load finished.
-    Home,
-    /// The `/signup` load finished.
-    Signup,
-    /// The form-submission (`/welcome`) load finished.
-    Submit,
-    /// The `/confirm` load finished.
-    Confirm,
-    /// `POST_SIGNUP_PAGES[i]` finished.
-    Post(usize),
-    /// Visit `visit` is about to start (after the cache-clock advance).
-    VisitGap(u32),
-    /// `REVISIT_PAGES[p]` of visit `visit` finished.
-    Revisit(u32, usize),
-    Done,
-}
-
-/// See the module docs.
-pub(crate) struct SiteFlow {
-    /// Measured mode: outcomes derive from observed transport failures.
+/// Walk the §3.2 flow against `site` for `repeat` visits (1 = the paper's
+/// one-shot crawl). `load` performs one page load and returns its terminal
+/// failure, if any; in config mode (`measured == false`) it never fails.
+pub(crate) fn walk<'b>(
+    browser: &mut Browser<'b>,
+    site: &Site,
+    base: &Url,
     measured: bool,
-    /// Total visits (1 = the paper's one-shot crawl, no revisits).
     repeat: u32,
-    stage: Stage,
-    email_confirmation: bool,
-    bot_detection: bool,
-}
+    mut load: impl FnMut(&mut Browser<'b>, &PageContext) -> Option<PageFailure>,
+) -> CrawlOutcome {
+    let page =
+        |path: &str| -> Url { crate::flow::site_url(site, path).unwrap_or_else(|| base.clone()) };
+    // Persistent failure during sign-up (bot walls answer 5xx on /signup
+    // forever) reads as "sign-up blocked", with the observed fault as the
+    // reason.
+    let blocked = |failure: PageFailure, path: &str| {
+        CrawlOutcome::SignupBlocked(format!(
+            "{} on {path} after {} attempts",
+            failure.error, failure.attempts
+        ))
+    };
 
-impl SiteFlow {
-    pub(crate) fn new(measured: bool, repeat: u32) -> SiteFlow {
-        SiteFlow {
-            measured,
-            repeat: repeat.max(1),
-            stage: Stage::Start,
-            email_confirmation: false,
-            bot_detection: false,
+    if !measured && site.outcome == SiteOutcome::Unreachable {
+        return CrawlOutcome::Unreachable;
+    }
+    // A front door that never answers is, on the wire, what "unreachable"
+    // means.
+    if load(browser, &PageContext::get(page("/"), "/", false)).is_some() {
+        return CrawlOutcome::Unreachable;
+    }
+    // Content-driven: the homepage rendered and offers no sign-up form.
+    if site.outcome == SiteOutcome::NoAuthFlow {
+        return CrawlOutcome::NoAuthFlow;
+    }
+    if let Some(failure) = load(
+        browser,
+        &PageContext::get(page("/signup"), "/signup", false),
+    ) {
+        return blocked(failure, "/signup");
+    }
+    if !measured {
+        if let SiteOutcome::SignupBlocked(reason) = &site.outcome {
+            return CrawlOutcome::SignupBlocked(
+                match reason {
+                    BlockReason::PhoneVerification => "phone verification required",
+                    BlockReason::IdentityDocuments => "identity documents required",
+                    BlockReason::GeoBlocked => "account creation blocked for global customers",
+                }
+                .to_string(),
+            );
         }
     }
-
-    /// Advance the machine. `failed` is the terminal failure of the load
-    /// the previous `Load` step requested (always `None` in config mode,
-    /// where page loads cannot fail).
-    pub(crate) fn next(
-        &mut self,
-        browser: &Browser<'_>,
-        site: &Site,
-        base: &Url,
-        failed: Option<&PageFailure>,
-    ) -> FlowStep {
-        let page = |path: &str| -> Url {
-            crate::flow::site_url(site, path).unwrap_or_else(|| base.clone())
-        };
-        match self.stage {
-            Stage::Start => {
-                if !self.measured && site.outcome == SiteOutcome::Unreachable {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::Unreachable);
-                }
-                self.stage = Stage::Home;
-                FlowStep::Load(PageContext::get(page("/"), "/", false))
-            }
-            Stage::Home => {
-                // A front door that never answers is, on the wire, what
-                // "unreachable" means.
-                if self.measured && failed.is_some() {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::Unreachable);
-                }
-                // Content-driven: the homepage rendered and offers no
-                // sign-up form.
-                if site.outcome == SiteOutcome::NoAuthFlow {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::NoAuthFlow);
-                }
-                self.stage = Stage::Signup;
-                FlowStep::Load(PageContext::get(page("/signup"), "/signup", false))
-            }
-            Stage::Signup => {
-                // Persistent failure here (bot walls answer 5xx on /signup
-                // forever) reads as "sign-up blocked", with the observed
-                // fault as the reason.
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /signup after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                if !self.measured {
-                    if let SiteOutcome::SignupBlocked(reason) = &site.outcome {
-                        self.stage = Stage::Done;
-                        return FlowStep::Finish(CrawlOutcome::SignupBlocked(
-                            match reason {
-                                BlockReason::PhoneVerification => "phone verification required",
-                                BlockReason::IdentityDocuments => "identity documents required",
-                                BlockReason::GeoBlocked => {
-                                    "account creation blocked for global customers"
-                                }
-                            }
-                            .to_string(),
-                        ));
-                    }
-                }
-                if !browser.signup_can_complete(site) {
-                    // Brave Shields vs. nykaa.com's CAPTCHA.
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupFailed(
-                        "shields broke CAPTCHA verification".to_string(),
-                    ));
-                }
-                // Submit the filled form.
-                self.stage = Stage::Submit;
-                FlowStep::Load(PageContext {
-                    document_url: browser.form_submit_url(site),
-                    path: "/welcome".into(),
-                    pii_known: true,
-                    form_post: browser.form_post_body(site),
-                })
-            }
-            Stage::Submit => {
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /welcome after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                // The site's flow shape (confirmation email, bot detection)
-                // is content, not transport; it comes from the site itself.
-                (self.email_confirmation, self.bot_detection) = match &site.outcome {
-                    SiteOutcome::Ok {
-                        email_confirmation,
-                        bot_detection,
-                    } => (*email_confirmation, *bot_detection),
-                    _ => (false, false),
-                };
-                if self.email_confirmation {
-                    // "We open another browser and got the email
-                    // confirmation link."
-                    let confirm = page("/confirm").with_query_param("token", "c0nf1rm");
-                    self.stage = Stage::Confirm;
-                    return FlowStep::Load(PageContext::get(confirm, "/confirm", true));
-                }
-                self.stage = Stage::Post(0);
-                FlowStep::Load(PageContext::get(
-                    page(POST_SIGNUP_PAGES[0]),
-                    POST_SIGNUP_PAGES[0],
-                    true,
-                ))
-            }
-            Stage::Confirm => {
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /confirm after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                self.stage = Stage::Post(0);
-                FlowStep::Load(PageContext::get(
-                    page(POST_SIGNUP_PAGES[0]),
-                    POST_SIGNUP_PAGES[0],
-                    true,
-                ))
-            }
-            // Post-signup browsing. The account exists now, so a lost page
-            // only costs its traffic — failures no longer disqualify.
-            Stage::Post(done) => match POST_SIGNUP_PAGES.get(done + 1) {
-                Some(path) => {
-                    self.stage = Stage::Post(done + 1);
-                    FlowStep::Load(PageContext::get(page(path), path, true))
-                }
-                None => self.visit_finished(1),
-            },
-            Stage::VisitGap(visit) => {
-                self.stage = Stage::Revisit(visit, 0);
-                FlowStep::Load(PageContext::get(
-                    page(REVISIT_PAGES[0]),
-                    REVISIT_PAGES[0],
-                    true,
-                ))
-            }
-            Stage::Revisit(visit, done) => match REVISIT_PAGES.get(done + 1) {
-                Some(path) => {
-                    self.stage = Stage::Revisit(visit, done + 1);
-                    FlowStep::Load(PageContext::get(page(path), path, true))
-                }
-                None => self.visit_finished(visit),
-            },
-            // Defensive: a caller that keeps polling a finished flow gets a
-            // quarantine, not an infinite loop.
-            Stage::Done => FlowStep::Finish(CrawlOutcome::Quarantined(
-                "flow advanced past completion".to_string(),
-            )),
+    if !browser.signup_can_complete(site) {
+        // Brave Shields vs. nykaa.com's CAPTCHA.
+        return CrawlOutcome::SignupFailed("shields broke CAPTCHA verification".to_string());
+    }
+    // Submit the filled form.
+    let submit = PageContext {
+        document_url: browser.form_submit_url(site),
+        path: "/welcome".into(),
+        pii_known: true,
+        form_post: browser.form_post_body(site),
+    };
+    if let Some(failure) = load(browser, &submit) {
+        return blocked(failure, "/welcome");
+    }
+    // The site's flow shape (confirmation email, bot detection) is content,
+    // not transport; it comes from the site itself.
+    let (email_confirmed, bot_detection_passed) = match &site.outcome {
+        SiteOutcome::Ok {
+            email_confirmation,
+            bot_detection,
+        } => (*email_confirmation, *bot_detection),
+        _ => (false, false),
+    };
+    if email_confirmed {
+        // "We open another browser and got the email confirmation link."
+        let confirm = page("/confirm").with_query_param("token", "c0nf1rm");
+        if let Some(failure) = load(browser, &PageContext::get(confirm, "/confirm", true)) {
+            return blocked(failure, "/confirm");
         }
     }
-
-    /// Visit `visit` just finished successfully: start the next one or seal
-    /// the crawl as completed.
-    fn visit_finished(&mut self, visit: u32) -> FlowStep {
-        if visit < self.repeat {
-            self.stage = Stage::VisitGap(visit + 1);
-            return FlowStep::NextVisit;
+    // Post-signup browsing, then the revisits with the cache clock advanced
+    // between visits. The account exists now, so a lost page only costs its
+    // traffic — failures no longer disqualify.
+    for path in POST_SIGNUP_PAGES {
+        load(browser, &PageContext::get(page(path), path, true));
+    }
+    for _ in 1..repeat {
+        browser.advance_visit();
+        for path in REVISIT_PAGES {
+            load(browser, &PageContext::get(page(path), path, true));
         }
-        self.stage = Stage::Done;
-        FlowStep::Finish(CrawlOutcome::Completed {
-            email_confirmed: self.email_confirmation,
-            bot_detection_passed: self.bot_detection,
-        })
+    }
+    CrawlOutcome::Completed {
+        email_confirmed,
+        bot_detection_passed,
     }
 }
 

@@ -694,6 +694,14 @@ pub fn compress_stored(data: &[u8]) -> Vec<u8> {
 
 /// Inflate a raw DEFLATE stream (all three block types).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    decompress_bounded(data, usize::MAX)
+}
+
+const OVER_LIMIT: DecodeError = DecodeError::Corrupt("output exceeds limit");
+
+/// [`decompress`] for untrusted streams: fails as soon as the output would
+/// pass `limit` bytes, so a small stream cannot expand without bound.
+pub fn decompress_bounded(data: &[u8], limit: usize) -> Result<Vec<u8>, DecodeError> {
     let mut r = BitReader::new(data);
     let mut out = Vec::new();
     loop {
@@ -707,6 +715,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
                 if len != !nlen {
                     return Err(DecodeError::Corrupt("stored block LEN/NLEN mismatch"));
                 }
+                if len as usize > limit - out.len() {
+                    return Err(OVER_LIMIT);
+                }
                 for _ in 0..len {
                     out.push(r.read_bits(8)? as u8);
                 }
@@ -714,11 +725,11 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
             1 => {
                 let lit = HuffmanCode::from_lengths(&fixed_literal_lengths())?;
                 let dist = HuffmanCode::from_lengths(&[5u8; 30])?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, &mut out, limit)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, &mut out, limit)?;
             }
             _ => return Err(DecodeError::Corrupt("reserved block type")),
         }
@@ -774,10 +785,12 @@ fn inflate_block(
     lit: &HuffmanCode,
     dist: &HuffmanCode,
     out: &mut Vec<u8>,
+    limit: usize,
 ) -> Result<(), DecodeError> {
     loop {
         let sym = lit.decode(r)?;
         match sym {
+            0..=255 if out.len() >= limit => return Err(OVER_LIMIT),
             0..=255 => out.push(sym as u8),
             256 => return Ok(()),
             257..=285 => {
@@ -791,6 +804,9 @@ fn inflate_block(
                 let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
                 if d > out.len() {
                     return Err(DecodeError::Corrupt("distance beyond output"));
+                }
+                if len > limit - out.len() {
+                    return Err(OVER_LIMIT);
                 }
                 // Chunked copy: each pass can take everything between the
                 // match start and the current end, so overlapping matches
@@ -927,6 +943,25 @@ mod tests {
         // BTYPE=00 with LEN != !NLEN.
         let bad = [0x01, 0x05, 0x00, 0x00, 0x00];
         assert!(decompress(&bad).is_err());
+    }
+
+    #[test]
+    fn bounded_inflate_stops_at_the_limit() {
+        // A 1 MiB run compresses to a few hundred bytes: a miniature bomb.
+        let bomb = compress(&vec![0u8; 1 << 20]);
+        assert!(bomb.len() < 4096);
+        assert_eq!(decompress_bounded(&bomb, 1 << 20).unwrap().len(), 1 << 20);
+        assert_eq!(
+            decompress_bounded(&bomb, (1 << 20) - 1),
+            Err(DecodeError::Corrupt("output exceeds limit"))
+        );
+        // Literal and stored paths are bounded too.
+        assert!(decompress_bounded(&compress(b"abc"), 2).is_err());
+        assert!(decompress_bounded(&compress_stored(b"abcdef"), 5).is_err());
+        assert_eq!(
+            decompress_bounded(&compress_stored(b"abcdef"), 6).unwrap(),
+            b"abcdef"
+        );
     }
 
     #[test]

@@ -1012,7 +1012,7 @@ mod tests {
         assert!(decode_site_crawl(&bytes).is_err());
         let payload = pii_encodings::deflate::compress(&bytes);
         assert_eq!(
-            crate::format::decode_site(&payload).unwrap_err(),
+            crate::format::decode_site(&payload, bytes.len() as u32).unwrap_err(),
             crate::format::FrameError::Corrupt("record body")
         );
     }

@@ -150,10 +150,25 @@ pub fn encode_record<T: Serialize>(value: &T) -> EncodedRecord {
     }
 }
 
-/// Inverse of [`encode_record`].
-pub fn decode_record<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, FrameError> {
-    let raw = pii_encodings::deflate::decompress(payload)
+/// Inflate a segment payload that must expand to exactly `raw_len` bytes,
+/// the count its header records. Inflation stops as soon as the output
+/// would pass `raw_len`, so a payload with valid CRCs that is a DEFLATE
+/// bomb allocates no more than its header admits.
+fn inflate(payload: &[u8], raw_len: u32) -> Result<Vec<u8>, FrameError> {
+    let raw = pii_encodings::deflate::decompress_bounded(payload, raw_len as usize)
         .map_err(|_| FrameError::Corrupt("deflate stream"))?;
+    if raw.len() != raw_len as usize {
+        return Err(FrameError::Corrupt("payload shorter than raw length"));
+    }
+    Ok(raw)
+}
+
+/// Inverse of [`encode_record`]; `raw_len` is the segment header's.
+pub fn decode_record<T: for<'de> Deserialize<'de>>(
+    payload: &[u8],
+    raw_len: u32,
+) -> Result<T, FrameError> {
+    let raw = inflate(payload, raw_len)?;
     let tree = crate::vbin::decode_value(&raw).map_err(|_| FrameError::Corrupt("record body"))?;
     serde::value::from_value(tree).map_err(|_| FrameError::Corrupt("record shape"))
 }
@@ -173,9 +188,8 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
 /// [`decode_record`] for site segments, via the direct decoder only. The
 /// archive format is versioned, so a payload it does not recognise is
 /// corrupt, not a newer shape to be decoded generically.
-pub fn decode_site(payload: &[u8]) -> Result<pii_crawler::SiteCrawl, FrameError> {
-    let raw = pii_encodings::deflate::decompress(payload)
-        .map_err(|_| FrameError::Corrupt("deflate stream"))?;
+pub fn decode_site(payload: &[u8], raw_len: u32) -> Result<pii_crawler::SiteCrawl, FrameError> {
+    let raw = inflate(payload, raw_len)?;
     crate::fast::decode_site_crawl(&raw).map_err(|_| FrameError::Corrupt("record body"))
 }
 
@@ -436,8 +450,31 @@ mod tests {
         assert_eq!(header.label, "shop0001.com");
         assert_eq!(header.segment_len(), bytes.len());
         let payload = verify_payload_at(&bytes, 0, &header).unwrap();
-        let back: Vec<String> = decode_record(payload).unwrap();
+        let back: Vec<String> = decode_record(payload, header.raw_len).unwrap();
         assert_eq!(back, vec!["alpha", "beta"]);
+    }
+
+    #[test]
+    fn payload_must_inflate_to_exactly_the_header_raw_len() {
+        let encoded = encode_record(&vec!["alpha".to_string(), "beta".to_string()]);
+        let exact = decode_record::<Vec<String>>(&encoded.payload, encoded.raw_len);
+        assert_eq!(exact.unwrap(), vec!["alpha", "beta"]);
+        // Past the header's count: inflation stops at the bound.
+        assert_eq!(
+            decode_record::<Vec<String>>(&encoded.payload, encoded.raw_len - 1),
+            Err(FrameError::Corrupt("deflate stream"))
+        );
+        // Short of it.
+        assert_eq!(
+            decode_record::<Vec<String>>(&encoded.payload, encoded.raw_len + 1),
+            Err(FrameError::Corrupt("payload shorter than raw length"))
+        );
+        // A bomb: a few hundred payload bytes that inflate to 1 MiB.
+        let bomb = pii_encodings::deflate::compress(&vec![0u8; 1 << 20]);
+        assert_eq!(
+            decode_site(&bomb, 4096).unwrap_err(),
+            FrameError::Corrupt("deflate stream")
+        );
     }
 
     #[test]

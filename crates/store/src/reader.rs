@@ -218,7 +218,7 @@ impl ArchiveReader {
             .and_then(|h| verify_payload_for(&source, meta_at, &h).map(|p| (h, p)))
             .and_then(|(h, payload)| {
                 if h.kind == SegmentKind::Meta {
-                    format::decode_record::<ArchiveMeta>(&payload)
+                    format::decode_record::<ArchiveMeta>(&payload, h.raw_len)
                 } else {
                     Err(FrameError::Corrupt("first segment is not meta"))
                 }
@@ -382,9 +382,11 @@ impl ArchiveReader {
         None
     }
 
-    /// Verify and decode the site crawl behind one index entry. Exactly one
-    /// bounded read: the segment's own bytes, via the entry's offset/length.
-    fn decode_entry(&self, entry: &IndexEntry) -> Result<SiteCrawl, FrameError> {
+    /// Verify and decode the site crawl behind one index entry — the replay
+    /// fold's per-site read. Exactly one bounded read: the segment's own
+    /// bytes, via the entry's offset/length. Hand the result to
+    /// [`ArchiveReader::settle`] to turn it into a dataset row.
+    pub fn read_entry(&self, entry: &IndexEntry) -> Result<SiteCrawl, FrameError> {
         let segment = self
             .source
             .read_at(entry.offset, entry.segment_len as usize)
@@ -394,22 +396,14 @@ impl ArchiveReader {
             return Err(FrameError::Corrupt("expected a site segment"));
         }
         let payload = format::verify_payload_at(&segment, 0, &header)?;
-        format::decode_site(payload)
+        format::decode_site(payload, header.raw_len)
     }
 
     /// Random access to one site's crawl (verified; `None` when the domain
     /// is not indexed or its segment is damaged).
     pub fn site(&self, domain: &str) -> Option<SiteCrawl> {
         let entry = self.index.iter().find(|e| e.label == domain)?;
-        self.decode_entry(entry).ok()
-    }
-
-    /// Verify and decode one indexed segment — the replay fold's per-site
-    /// read. Shares the CRC/decode path with
-    /// [`ArchiveReader::read_dataset`]; hand the result to
-    /// [`ArchiveReader::settle`] to turn it into a dataset row.
-    pub fn read_entry(&self, entry: &IndexEntry) -> Result<SiteCrawl, FrameError> {
-        self.decode_entry(entry)
+        self.read_entry(entry).ok()
     }
 
     /// The health accounting a replay pass starts from: every indexed
@@ -471,7 +465,7 @@ impl ArchiveReader {
         let crawls = self
             .index
             .iter()
-            .map(|entry| ArchiveReader::settle(entry, self.decode_entry(entry), &mut report))
+            .map(|entry| ArchiveReader::settle(entry, self.read_entry(entry), &mut report))
             .collect();
         Replay {
             dataset: CrawlDataset {

@@ -504,7 +504,7 @@ fn scan_tail(source: &reader::Source, expected: &ArchiveMeta) -> TailScan {
         _ => return TailScan::Restart,
     };
     let stored: ArchiveMeta = match reader::verify_payload_for(source, meta_at, &meta_header)
-        .and_then(|payload| format::decode_record(&payload))
+        .and_then(|payload| format::decode_record(&payload, meta_header.raw_len))
     {
         Ok(meta) => meta,
         Err(_) => return TailScan::Restart,
@@ -541,7 +541,7 @@ fn scan_tail(source: &reader::Source, expected: &ArchiveMeta) -> TailScan {
             _ => break,
         };
         let crawl = match reader::verify_payload_for(source, at, &header)
-            .and_then(|payload| format::decode_site(&payload))
+            .and_then(|payload| format::decode_site(&payload, header.raw_len))
         {
             Ok(crawl) => crawl,
             Err(_) => break,

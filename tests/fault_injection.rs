@@ -87,10 +87,20 @@ fn watchdogged_hostile_crawl_is_deterministic_across_worker_counts() {
         let mut crawler = Crawler::new(u);
         crawler.workers = workers;
         crawler.faults = u.fault_plan(FaultProfile::Hostile);
-        crawler.watchdog_ms = Some(40_000);
-        dataset_json(&crawler.run(BrowserKind::Firefox88Vanilla))
+        crawler.watchdog_ms = Some(5_000);
+        crawler.run(BrowserKind::Firefox88Vanilla)
     };
-    assert_eq!(run(1), run(8));
+    let single = run(1);
+    // The deadline sits below the slowest hostile sites, so the watchdog
+    // really trips; otherwise this is only a plain hostile determinism check.
+    assert!(
+        single.crawls.iter().any(|c| matches!(
+            &c.outcome,
+            CrawlOutcome::Quarantined(reason) if reason.starts_with("watchdog: ")
+        )),
+        "a 5000 ms deadline quarantines no site"
+    );
+    assert_eq!(dataset_json(&single), dataset_json(&run(8)));
 }
 
 #[test]
@@ -136,7 +146,7 @@ fn panicking_site_is_quarantined_while_the_rest_complete() {
     let crawl = dataset.site(&victim).expect("victim still has an entry");
     match &crawl.outcome {
         CrawlOutcome::Quarantined(reason) => {
-            // Retried once on another worker, then quarantined.
+            // Retried once with a fresh browser, then quarantined.
             assert!(
                 reason.contains("panicked twice"),
                 "reason records the cause: {reason}"

@@ -197,6 +197,59 @@ fn degenerate_archives_fail_or_recover_cleanly() {
     );
 }
 
+/// A segment whose CRCs are valid but whose payload is a DEFLATE bomb — a
+/// few KiB that inflate far past the header's `raw_len` — is skipped like
+/// any other damaged segment: replay keeps the site as a quarantined row
+/// instead of allocating what the bomb asks for.
+#[test]
+fn a_deflate_bomb_segment_replays_as_a_quarantined_site() {
+    let mut crawls = toy_crawls();
+    // An incompressible reason makes the victim's payload large enough to
+    // hold the bomb in place, so the footer index stays valid.
+    let mut state = 0x9e37_79b9_u32;
+    let noise: String = (0..8_000)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            char::from(b'!' + ((state >> 24) as u8) % 94)
+        })
+        .collect();
+    crawls[5].outcome = CrawlOutcome::SignupBlocked(noise);
+    let mut bytes = toy_archive(&crawls);
+    let at = ArchiveReader::from_bytes(bytes.clone())
+        .expect("open")
+        .entries()[5]
+        .offset as usize;
+    let header = format::read_segment_header(&bytes, at).expect("victim header");
+    let payload_at = at + header.encoded_len();
+    let payload_len = header.payload_len as usize;
+    let mut bomb = pii_suite::encodings::deflate::compress(&vec![0u8; 1 << 20]);
+    assert!(bomb.len() <= payload_len, "bomb fits the victim's payload");
+    // Bytes after the final DEFLATE block are never read.
+    bomb.resize(payload_len, 0);
+    bytes[payload_at..payload_at + payload_len].copy_from_slice(&bomb);
+    // Re-CRC: the payload CRC (header bytes 21..25), then the header CRC,
+    // which covers it and sits just before the payload.
+    bytes[at + 21..at + 25].copy_from_slice(&format::crc32(&bomb).to_le_bytes());
+    let header_crc = format::crc32(&bytes[at..payload_at - 4]);
+    bytes[payload_at - 4..payload_at].copy_from_slice(&header_crc.to_le_bytes());
+
+    let reader = ArchiveReader::from_bytes(bytes).expect("open");
+    assert!(reader.used_footer(), "the footer index still verifies");
+    let replay = reader.read_dataset();
+    assert_eq!(replay.report.segments_verified, crawls.len() - 1);
+    let [skipped] = replay.report.skipped.as_slice() else {
+        panic!("one skipped segment: {:?}", replay.report.skipped)
+    };
+    assert_eq!(skipped.label.as_deref(), Some(crawls[5].domain.as_str()));
+    assert_eq!(skipped.reason, "corrupt: deflate stream");
+    let row = replay.dataset.site(&crawls[5].domain).expect("row kept");
+    assert!(
+        matches!(&row.outcome, CrawlOutcome::Quarantined(r) if r.starts_with("archive:")),
+        "{:?}",
+        row.outcome
+    );
+}
+
 fn toy_crawls() -> Vec<SiteCrawl> {
     (0..12)
         .map(|i| SiteCrawl {
