@@ -207,7 +207,7 @@ impl Study {
         let psl = PublicSuffixList::embedded();
         let tokens = {
             let _span = pii_telemetry::span("study.tokens");
-            self.tokens.build(&universe.persona)
+            self.tokens.build_on(&universe.persona, workers)
         };
         pii_telemetry::gauge("study.tokens", tokens.len() as i64);
         let mut crawls = Vec::new();

@@ -1,6 +1,7 @@
-//! Hot-path kernel trajectory: scalar reference vs slice-at-a-time kernel
-//! for each of the four throughput kernels, emitting `BENCH_kernels.json`
-//! next to the workspace root.
+//! Hot-path kernel trajectory: scalar reference vs kernel for each of the
+//! throughput kernels (four slice-at-a-time kernels, then three
+//! small-input kernels of the candidate-token sweep), emitting
+//! `BENCH_kernels.json` next to the workspace root.
 //!
 //! Not a criterion bench: each point is a best-of-N timed pass over a fixed
 //! corpus, and the artifact is the point — `kernel_bytes_per_sec /
@@ -16,9 +17,9 @@
 use pii_browser::profiles::BrowserKind;
 use pii_core::scan::AhoCorasick;
 use pii_crawler::Crawler;
-use pii_encodings::percent;
+use pii_encodings::{base58, deflate, percent, EncodingKind};
 use pii_hashes::crc::Crc32;
-use pii_hashes::{digest, hex_digest, lanes, HashAlgorithm, Hasher};
+use pii_hashes::{digest, hex_digest, lanes, whirlpool, HashAlgorithm, Hasher};
 use pii_web::{Universe, UniverseSpec};
 use serde::Serialize;
 use std::time::Instant;
@@ -151,6 +152,30 @@ fn form_corpus(len: usize) -> String {
     out
 }
 
+/// The inputs of the candidate-token sweep's first two depths: the
+/// persona's PII values and every hash (hex) and encoding of them, i.e.
+/// 8–300-byte messages, repeated `copies` times.
+fn sweep_inputs(copies: usize) -> Vec<Vec<u8>> {
+    let persona = pii_web::Persona::default_study();
+    let mut once = Vec::new();
+    for (_, value) in persona.all_values() {
+        let bytes = value.into_bytes();
+        for alg in HashAlgorithm::ALL {
+            once.push(hex_digest(alg, &bytes).into_bytes());
+        }
+        for kind in EncodingKind::ALL {
+            once.push(kind.encode(&bytes));
+        }
+        once.push(bytes);
+    }
+    once.retain(|m| (8..=300).contains(&m.len()));
+    let mut out = Vec::with_capacity(once.len() * copies);
+    for _ in 0..copies {
+        out.extend(once.iter().cloned());
+    }
+    out
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -165,10 +190,10 @@ fn main() {
                 .join("BENCH_kernels.json")
         });
 
-    let (crc_len, sweep_len, form_len, scan_factor, reps) = if smoke {
-        (4 << 20, 256 << 10, 512 << 10, 1, 2)
+    let (crc_len, sweep_len, form_len, scan_factor, copies, reps) = if smoke {
+        (4 << 20, 256 << 10, 512 << 10, 1, 2, 2)
     } else {
-        (64 << 20, 2 << 20, 8 << 20, 10, 3)
+        (64 << 20, 2 << 20, 8 << 20, 10, 40, 3)
     };
 
     let mut points = Vec::new();
@@ -249,6 +274,75 @@ fn main() {
         reps,
         || percent::decode_form_lossy_reference(&form),
         || percent::decode_form_lossy(&form),
+    ));
+
+    // Kernels 5–7 run on the token sweep's many short messages, where
+    // per-call set-up, not streaming throughput, sets the cost.
+    let messages = sweep_inputs(copies);
+    let message_bytes: usize = messages.iter().map(Vec::len).sum();
+    eprintln!(
+        "[kernels sweep] {} messages, {} bytes",
+        messages.len(),
+        message_bytes
+    );
+
+    // Kernel 5: Whirlpool's eight row tables vs the bit-serial GF(2⁸) round.
+    let _ = digest(HashAlgorithm::Whirlpool, b"warm");
+    points.push(point(
+        "whirlpool_tables",
+        message_bytes,
+        reps,
+        || {
+            messages
+                .iter()
+                .map(|m| whirlpool::digest_reference(m))
+                .collect::<Vec<_>>()
+        },
+        || {
+            messages
+                .iter()
+                .map(|m| digest(HashAlgorithm::Whirlpool, m))
+                .collect::<Vec<_>>()
+        },
+    ));
+
+    // Kernel 6: Base58 over u32 limbs in base 58⁵ vs the byte bignum.
+    points.push(point(
+        "base58_limbs",
+        message_bytes,
+        reps,
+        || {
+            messages
+                .iter()
+                .map(|m| base58::encode_reference(m))
+                .collect::<Vec<_>>()
+        },
+        || {
+            messages
+                .iter()
+                .map(|m| base58::encode(m))
+                .collect::<Vec<_>>()
+        },
+    ));
+
+    // Kernel 7: deflate on the per-thread reused head table vs a fresh
+    // 2¹⁵-bucket table per call.
+    points.push(point(
+        "deflate_small_inputs",
+        message_bytes,
+        reps,
+        || {
+            messages
+                .iter()
+                .map(|m| deflate::compress_reference(m))
+                .collect::<Vec<_>>()
+        },
+        || {
+            messages
+                .iter()
+                .map(|m| deflate::compress(m))
+                .collect::<Vec<_>>()
+        },
     ));
 
     let artifact = BenchArtifact {

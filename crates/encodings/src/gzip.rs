@@ -16,14 +16,20 @@ const FCOMMENT: u8 = 1 << 4;
 
 /// Compress into a gzip member (no name, no timestamp — deterministic).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 32);
+    frame(data, &deflate::compress(data))
+}
+
+/// Frame `deflated`, the DEFLATE stream of `data`, as the gzip member
+/// [`compress`] would produce, for callers that already hold the stream.
+pub fn frame(data: &[u8], deflated: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(deflated.len() + 18);
     out.extend_from_slice(&MAGIC);
     out.push(CM_DEFLATE);
     out.push(0); // FLG
     out.extend_from_slice(&[0; 4]); // MTIME = 0 (deterministic output)
     out.push(0); // XFL
     out.push(255); // OS = unknown
-    out.extend_from_slice(&deflate::compress(data));
+    out.extend_from_slice(deflated);
     let mut crc = Crc32::new();
     Hasher::update(&mut crc, data);
     out.extend_from_slice(&crc.value().to_le_bytes());
@@ -96,6 +102,12 @@ mod tests {
         ] {
             assert_eq!(decompress(&compress(input)).unwrap(), input);
         }
+    }
+
+    #[test]
+    fn frame_of_the_deflate_stream_is_compress() {
+        let data = b"frame frame frame frame";
+        assert_eq!(frame(data, &deflate::compress(data)), compress(data));
     }
 
     #[test]

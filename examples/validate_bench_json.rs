@@ -17,11 +17,14 @@
 use serde::Value;
 use std::process::exit;
 
-const REQUIRED_KERNELS: [&str; 4] = [
+const REQUIRED_KERNELS: [&str; 7] = [
     "crc32_slice8",
     "scan_prefilter",
     "digest_lanes",
     "percent_form_decode",
+    "whirlpool_tables",
+    "base58_limbs",
+    "deflate_small_inputs",
 ];
 
 fn field<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {

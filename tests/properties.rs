@@ -227,6 +227,46 @@ proptest! {
         }
     }
 
+    /// The table-driven Whirlpool equals the bit-serial reference round on
+    /// arbitrary messages, across the one- and two-block padding cases.
+    #[test]
+    fn whirlpool_tables_equal_bit_serial_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        use pii_suite::hashes::whirlpool;
+        prop_assert_eq!(
+            digest(HashAlgorithm::Whirlpool, &data),
+            whirlpool::digest_reference(&data)
+        );
+    }
+
+    /// The `u32`-limb Base58 encoder equals the byte-bignum reference,
+    /// leading zero bytes (rendered as leading '1's) included.
+    #[test]
+    fn base58_limbs_equal_reference(
+        zeros in 0usize..4,
+        data in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        use pii_suite::encodings::base58;
+        let mut input = vec![0u8; zeros];
+        input.extend_from_slice(&data);
+        prop_assert_eq!(base58::encode(&input), base58::encode_reference(&input));
+    }
+
+    /// A sequence of deflate calls on one thread each equals the
+    /// fresh-head-table reference. The small alphabet makes the inputs
+    /// share 3-byte windows, so a bucket left stale by an earlier call
+    /// would change a later call's matches.
+    #[test]
+    fn deflate_call_sequence_equals_fresh_table_reference(
+        inputs in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..300), 1..8),
+    ) {
+        use pii_suite::encodings::deflate;
+        for input in &inputs {
+            prop_assert_eq!(deflate::compress(input), deflate::compress_reference(input));
+        }
+    }
+
     /// Registrable-domain extraction is idempotent and suffix-consistent.
     #[test]
     fn registrable_domain_invariants(host in "[a-z]{1,8}(\\.[a-z]{1,8}){0,3}\\.(com|co\\.jp|org|io)") {
